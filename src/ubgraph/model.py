@@ -22,7 +22,8 @@ class UncertainEvent:
 
     ``activities`` is the set of labels the event may have carried (a
     singleton for a certain label).  ``t_min``/``t_max`` bound the true
-    timestamp, in epoch milliseconds.  ``determinate`` is False when the
+    timestamp, in epoch milliseconds; they must be Python ``int``, not
+    ``bool`` and not a numpy integer.  ``determinate`` is False when the
     event may not have happened at all.
     """
 
@@ -96,6 +97,10 @@ def validate_trace(trace: UncertainTrace) -> list[str]:
     An empty list means the trace is valid.  Each violation names the
     offending event id and the rule it breaks.  Nothing is raised here
     so that callers can report all problems at once.
+
+    Timestamps must be Python ``int``.  ``bool`` is refused although it
+    subclasses ``int``, and so are numpy integers, which the JSONL
+    writer cannot format.
     """
     violations: list[str] = []
     seen: set[str] = set()
@@ -110,6 +115,8 @@ def validate_trace(trace: UncertainTrace) -> list[str]:
             violations.append(f"event {event.event_id} has no activity labels")
         if not isinstance(event.t_min, int) or not isinstance(event.t_max, int):
             violations.append(f"event {event.event_id} has non-integer timestamps")
+        elif isinstance(event.t_min, bool) or isinstance(event.t_max, bool):
+            violations.append(f"event {event.event_id} has bool timestamps")
         elif event.t_min > event.t_max:
             violations.append(
                 f"event {event.event_id} has t_min {event.t_min} > t_max {event.t_max}"

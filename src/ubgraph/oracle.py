@@ -5,13 +5,20 @@ counts.  The implementations are deliberately simple and kept separate
 from the graph kernels so the two routes (enumeration vs construction)
 can be checked against each other.  Size guards stop the factorial
 blowup early; costs beyond them are not supported.
+
+The directly-follows bounds are exact: ``udfg_bounds_trace`` walks the
+realizations once, lazily, and folds each one's pair counts into
+running per-pair bounds, so no realization set is held in memory.  It
+refuses exactly the traces ``enumerate_realizations`` refuses (more
+than MAX_REALIZATION_EVENTS events, or more than MAX_REALIZATIONS
+realizations by the count bound).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations, product
 from math import prod
+from typing import Iterator
 
 from .model import UncertainEvent, UncertainTrace, ensure_valid, precedes
 
@@ -108,12 +115,14 @@ def possible_immediate_successor(trace: UncertainTrace, v: str, w: str) -> bool:
     return False
 
 
-def enumerate_realizations(trace: UncertainTrace) -> frozenset[Realization]:
-    """Every (inclusion, order, labeling) reading the trace allows.
+def _extensions_within_budget(trace: UncertainTrace) -> set[tuple[str, ...]]:
+    """Refuse a trace too large to enumerate; else its linear extensions.
 
-    Determinate events appear in every realization; indeterminate ones
-    in a subset.  Refuses traces beyond MAX_REALIZATION_EVENTS events or
-    whose realization count bound exceeds MAX_REALIZATIONS.
+    The refusal rule of every realization walk: more than
+    MAX_REALIZATION_EVENTS events, or a realization count bound
+    (labelings x inclusion choices x orders) above MAX_REALIZATIONS,
+    raises SizeLimitError.  The extensions of the full trace are
+    computed for the bound and returned for reuse.
     """
     ensure_valid(trace)
     events = trace.events
@@ -123,10 +132,10 @@ def enumerate_realizations(trace: UncertainTrace) -> frozenset[Realization]:
             f"enumeration is limited to {MAX_REALIZATION_EVENTS}"
         )
     extensions_all = _extensions(events)
-    indeterminate = [e for e in events if not e.determinate]
+    indeterminate = sum(1 for e in events if not e.determinate)
     bound = (
         prod(len(e.activities) for e in events)
-        * 2 ** len(indeterminate)
+        * 2 ** indeterminate
         * max(len(extensions_all), 1)
     )
     if bound > MAX_REALIZATIONS:
@@ -134,6 +143,19 @@ def enumerate_realizations(trace: UncertainTrace) -> frozenset[Realization]:
             f"trace {trace.case_id!r} admits up to {bound} realizations; "
             f"enumeration is limited to {MAX_REALIZATIONS}"
         )
+    return extensions_all
+
+
+def enumerate_realizations(trace: UncertainTrace) -> frozenset[Realization]:
+    """Every (inclusion, order, labeling) reading the trace allows.
+
+    Determinate events appear in every realization; indeterminate ones
+    in a subset.  Refuses traces beyond MAX_REALIZATION_EVENTS events or
+    whose realization count bound exceeds MAX_REALIZATIONS.
+    """
+    _extensions_within_budget(trace)
+    events = trace.events
+    indeterminate = [e for e in events if not e.determinate]
     determinate = tuple(e for e in events if e.determinate)
     labels = {e.event_id: sorted(e.activities) for e in events}
     realizations: set[Realization] = set()
@@ -151,27 +173,65 @@ def enumerate_realizations(trace: UncertainTrace) -> frozenset[Realization]:
     return frozenset(realizations)
 
 
+def _realization_labels(trace: UncertainTrace) -> Iterator[tuple[str, ...]]:
+    """The label sequence of every realization, one at a time.
+
+    Walks (kept subset, linear extension, label choice) lazily, under
+    the same refusal rule as enumerate_realizations.  Each realization
+    is yielded once; only its labels, in execution order, are kept.
+    """
+    extensions_all = _extensions_within_budget(trace)
+    events = trace.events
+    indeterminate = [e for e in events if not e.determinate]
+    required = {e.event_id for e in events if e.determinate}
+    labels = {e.event_id: sorted(e.activities) for e in events}
+    for k in range(len(indeterminate) + 1):
+        for dropped in combinations(indeterminate, k):
+            if k:
+                kept = tuple(e for e in events if e.determinate or e not in dropped)
+                sequences = _extensions(kept)
+            else:
+                sequences = extensions_all
+            for sequence in sequences:
+                # sanity: each determinate event appears exactly once
+                assert required <= set(sequence) and len(sequence) == len(set(sequence))
+                yield from product(*(labels[event_id] for event_id in sequence))
+
+
 def udfg_bounds_trace(trace: UncertainTrace) -> dict[tuple[str, str], tuple[int, int]]:
     """Per-pair bounds on directly-follows counts over all realizations.
 
     For every ordered label pair (a, b) that is adjacent in at least one
     realization, reports the minimum and maximum number of adjacent
     (a, b) positions any single realization of this trace can contain.
+    The bounds are exact.  They come from one streaming pass that folds
+    each realization's pair counts into running maps: the highest count
+    seen, the lowest count among the realizations holding the pair, and
+    how many realizations hold it.  A pair missing from some realization
+    has minimum 0.  Refuses the same traces as enumerate_realizations.
     """
-    realizations = enumerate_realizations(trace)
-    per_realization: list[Counter[tuple[str, str]]] = []
-    pairs: set[tuple[str, str]] = set()
-    for realization in realizations:
-        sequence = [label for _, label in realization]
-        counts = Counter(zip(sequence, sequence[1:]))
-        per_realization.append(counts)
-        pairs.update(counts)
+    high: dict[tuple[str, str], int] = {}
+    low: dict[tuple[str, str], int] = {}
+    present: dict[tuple[str, str], int] = {}
+    total = 0
+    for sequence in _realization_labels(trace):
+        total += 1
+        counts: dict[tuple[str, str], int] = {}
+        for pair in zip(sequence, sequence[1:]):
+            counts[pair] = counts.get(pair, 0) + 1
+        for pair, count in counts.items():
+            if pair in high:
+                if count > high[pair]:
+                    high[pair] = count
+                elif count < low[pair]:
+                    low[pair] = count
+                present[pair] += 1
+            else:
+                high[pair] = low[pair] = count
+                present[pair] = 1
     return {
-        pair: (
-            min(counts[pair] for counts in per_realization),
-            max(counts[pair] for counts in per_realization),
-        )
-        for pair in pairs
+        pair: (low[pair] if present[pair] == total else 0, high[pair])
+        for pair in high
     }
 
 

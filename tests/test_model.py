@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,6 +60,21 @@ def test_validate_interval_backwards():
     trace = UncertainTrace("c", (UncertainEvent("e1", frozenset({"a"}), 9, 2),))
     violations = validate_trace(trace)
     assert any("e1" in v and "t_min" in v for v in violations)
+
+
+def test_validate_bool_timestamps():
+    # bool subclasses int but is not a timestamp
+    trace = UncertainTrace("c", (_event("e1", True, 5), _event("e2", 0, False)))
+    assert validate_trace(trace) == [
+        "event e2 has bool timestamps",
+        "event e1 has bool timestamps",
+    ]
+
+
+def test_validate_numpy_integer_timestamps():
+    # refused on purpose: the JSONL writer cannot format numpy integers
+    trace = UncertainTrace("c", (_event("e1", np.int64(0), np.int64(5)),))
+    assert validate_trace(trace) == ["event e1 has non-integer timestamps"]
 
 
 def test_validate_empty_trace_ok():

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import FIVE_EVENT_EDGES, SIX_EVENT_EDGES
 
@@ -14,11 +18,45 @@ from ubgraph import (
     udfg_bounds_log,
     udfg_bounds_trace,
 )
-from ubgraph.oracle import SizeLimitError
+from ubgraph.oracle import MAX_REALIZATIONS, SizeLimitError
 
 
 def _event(event_id, t_min, t_max, labels=("a",), determinate=True):
     return UncertainEvent(event_id, frozenset(labels), t_min, t_max, determinate)
+
+
+def reference_udfg_bounds(trace):
+    """Definitional UDFG bounds: min and max per pair over every realization.
+
+    Materializes the realization set, counts each realization's adjacent
+    label pairs, then scans every pair over every realization (a pair a
+    realization lacks counts 0 there).  ``udfg_bounds_trace`` must agree.
+    """
+    per_realization = []
+    for realization in enumerate_realizations(trace):
+        sequence = [label for _, label in realization]
+        per_realization.append(Counter(zip(sequence, sequence[1:])))
+    pairs = set().union(*per_realization)
+    return {
+        pair: (
+            min(counts[pair] for counts in per_realization),
+            max(counts[pair] for counts in per_realization),
+        )
+        for pair in pairs
+    }
+
+
+@st.composite
+def small_traces(draw, max_events: int = 7):
+    """Tie-heavy traces for the oracle: shared endpoints, zero widths, labels a-c."""
+    n = draw(st.integers(min_value=0, max_value=max_events))
+    events = []
+    for i in range(n):
+        t_min = draw(st.integers(min_value=0, max_value=6))
+        t_max = t_min + draw(st.integers(min_value=0, max_value=3))
+        labels = draw(st.sets(st.sampled_from("abc"), min_size=1, max_size=3))
+        events.append(_event(f"e{i}", t_min, t_max, labels, draw(st.booleans())))
+    return UncertainTrace("t", tuple(events))
 
 
 def test_covering_golden(five_event_trace, six_event_trace):
@@ -124,6 +162,52 @@ def test_udfg_certain_pair():
 
 def test_udfg_single_event_empty():
     assert udfg_bounds_trace(UncertainTrace("c", (_event("e1", 0, 0),))) == {}
+
+
+def test_udfg_repeated_label_pair_with_positive_minimum():
+    # realizations read a a a or a a b: (a, a) occurs once or twice, never 0
+    trace = UncertainTrace(
+        "c", (_event("e1", 0, 0), _event("e2", 1, 1), _event("e3", 2, 2, labels=("a", "b")))
+    )
+    assert udfg_bounds_trace(trace) == {("a", "a"): (1, 2), ("a", "b"): (0, 1)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_traces())
+def test_udfg_bounds_match_reference(trace):
+    # Traces admitted with a large realization count take the same path as
+    # small ones and would only slow the test; refused ones stay in.
+    labelings = 1
+    for event in trace.events:
+        labelings *= len(event.activities) * (1 if event.determinate else 2)
+    count_bound = labelings * len(linear_extensions(trace))
+    assume(count_bound <= 20_000 or count_bound > MAX_REALIZATIONS)
+    try:
+        expected = reference_udfg_bounds(trace)
+    except SizeLimitError as refusal:
+        with pytest.raises(SizeLimitError) as raised:
+            udfg_bounds_trace(trace)
+        assert str(raised.value) == str(refusal)
+    else:
+        assert udfg_bounds_trace(trace) == expected
+
+
+def test_udfg_refuses_long_trace():
+    trace = UncertainTrace("c", tuple(_event(f"e{i}", i, i) for i in range(9)))
+    with pytest.raises(SizeLimitError, match="limited to 8"):
+        udfg_bounds_trace(trace)
+
+
+def test_udfg_refuses_over_budget_trace():
+    # the same 8 overlapping two-label events enumerate_realizations refuses
+    trace = UncertainTrace(
+        "c", tuple(_event(f"e{i}", 0, 9, labels=("a", "b")) for i in range(8))
+    )
+    with pytest.raises(SizeLimitError, match="realizations") as raised:
+        udfg_bounds_trace(trace)
+    with pytest.raises(SizeLimitError) as reference:
+        enumerate_realizations(trace)
+    assert str(raised.value) == str(reference.value)
 
 
 def test_udfg_log_sums_per_trace_bounds():
