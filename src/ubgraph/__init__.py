@@ -13,13 +13,11 @@ from .model import (
 )
 from .graph import (
     BehaviorGraph,
-    EntryKind,
     NotADagError,
-    TimestampEntry,
+    backend_name,
     build_baseline,
     build_sweep,
     reachable,
-    sweep_entries,
     transitive_reduce,
 )
 from .oracle import (
@@ -54,6 +52,5 @@ from .bench import (
     run_traces_experiment,
     run_uncertainty_experiment,
 )
-from .backend import backend_name
 
 __version__ = "0.1.0"

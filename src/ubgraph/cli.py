@@ -175,7 +175,9 @@ def _cmd_udfg(args: argparse.Namespace) -> int:
 
 
 _BENCH_DEFAULTS = {
-    "length": {"points": "64,128,256,512", "traces": 50, "length": None, "p_time": 0.4},
+    # criterion 4's window: below about 512 events the baseline's time is
+    # the numpy kernel's per-iteration overhead, not its cubic term
+    "length": {"points": "512,1024,2048", "traces": 2, "length": None, "p_time": 0.4},
     "traces": {"points": "250,500,1000,2000", "traces": None, "length": 50, "p_time": 0.4},
     "uncertainty": {"points": "0,0.4,0.8", "traces": 100, "length": 100, "p_time": None},
 }

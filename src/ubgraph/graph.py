@@ -10,45 +10,32 @@ acyclic.
 Two constructions are provided with identical output:
 
 * ``build_baseline`` materializes the full precedence relation and then
-  reduces it (cubic in the number of events).
-* ``build_sweep`` sorts the interval endpoints once and scans forward
-  from each endpoint, emitting exactly the reduced edges (quadratic in
-  the worst case, near linear on logs whose intervals overlap locally).
+  reduces it (cubic in the number of events).  It is the reference.
+* ``build_sweep`` reads the reduced edges straight off the events in
+  start order: ``v -> w`` is an edge exactly when
+  ``t_max[v] < t_min[w] <= M(v)``, where ``M(v)`` is the least
+  ``t_max[u]`` over the events ``u`` that start after ``v`` ends.  A
+  suffix minimum and two binary searches give each event a contiguous
+  range of successors, so the cost is O(n log n + |E|).
 
 Both validate their input and raise InvalidTraceError on violations.
+The array work is plain numpy.  Its matrix kernels avoid matrix products,
+so no BLAS thread pool is involved and timed sections stay
+single-threaded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 from typing import Hashable, Iterable, Mapping
 
 import numpy as np
 
-from .backend import ACTIVE as _kernels
 from .model import UncertainTrace, ensure_valid
 
 
 class NotADagError(ValueError):
     """Raised when a graph operation needs acyclic input but got a cycle."""
-
-
-class EntryKind(IntEnum):
-    """Role of one timestamp entry in the sweep; sort rank within a tie."""
-
-    MINIMUM = 0
-    CERTAIN = 1
-    MAXIMUM = 2
-
-
-@dataclass(frozen=True)
-class TimestampEntry:
-    """One endpoint of an event's timestamp interval, as seen by the sweep."""
-
-    time: int
-    event_id: str
-    kind: EntryKind
 
 
 @dataclass(frozen=True)
@@ -65,24 +52,9 @@ class BehaviorGraph:
     payload: Mapping[str, tuple[frozenset[str], bool]]
 
 
-def sweep_entries(trace: UncertainTrace) -> list[TimestampEntry]:
-    """The sorted endpoint list driving the sweep construction.
-
-    A certain event contributes one CERTAIN entry at its instant; an
-    uncertain event contributes a MINIMUM and a MAXIMUM entry at its
-    interval bounds.  Entries are ordered by (time, kind, event id), so
-    within one instant minimum endpoints come first and maximum
-    endpoints last.
-    """
-    entries: list[TimestampEntry] = []
-    for event in trace.events:
-        if event.t_min == event.t_max:
-            entries.append(TimestampEntry(event.t_min, event.event_id, EntryKind.CERTAIN))
-        else:
-            entries.append(TimestampEntry(event.t_min, event.event_id, EntryKind.MINIMUM))
-            entries.append(TimestampEntry(event.t_max, event.event_id, EntryKind.MAXIMUM))
-    entries.sort(key=lambda entry: (entry.time, entry.kind.value, entry.event_id))
-    return entries
+def backend_name() -> str:
+    """Name of the array backend the constructions run on."""
+    return "numpy"
 
 
 def _interval_arrays(trace: UncertainTrace) -> tuple[np.ndarray, np.ndarray]:
@@ -92,20 +64,44 @@ def _interval_arrays(trace: UncertainTrace) -> tuple[np.ndarray, np.ndarray]:
     return t_min, t_max
 
 
-def _assemble(trace: UncertainTrace, edge_matrix: np.ndarray) -> BehaviorGraph:
+def _assemble(trace: UncertainTrace, src: np.ndarray, dst: np.ndarray) -> BehaviorGraph:
+    """Graph of ``trace`` whose edges are ``events[src[k]] -> events[dst[k]]``."""
     ids = [e.event_id for e in trace.events]
     payload = {
         e.event_id: (e.activities, e.determinate) for e in trace.events
     }
-    rows, cols = np.nonzero(edge_matrix)
     get = ids.__getitem__
-    edges = frozenset(zip(map(get, rows.tolist()), map(get, cols.tolist())))
+    edges = frozenset(zip(map(get, src.tolist()), map(get, dst.tolist())))
     return BehaviorGraph(
         case_id=trace.case_id,
         vertices=frozenset(ids),
         edges=edges,
         payload=payload,
     )
+
+
+def closure_reduce(adj: np.ndarray) -> tuple[bool, np.ndarray]:
+    """Transitive closure plus transitive reduction of a relation matrix.
+
+    Returns (cyclic, reduced).  When ``cyclic`` is True the input admits
+    a cycle, the reduction is undefined and ``reduced`` is all False.
+    Loops over the n pivots with boolean row operations.
+    """
+    n = adj.shape[0]
+    reach = adj.copy()
+    for k in range(n):
+        src = reach[:, k]
+        if src.any():
+            reach[src] |= reach[k]
+    if bool(reach.diagonal().any()):
+        return True, np.zeros((n, n), dtype=np.bool_)
+    # two-hop pairs: shadow[i, j] iff some k has reach[i, k] and reach[k, j]
+    shadow = np.zeros_like(reach)
+    for k in range(n):
+        src = reach[:, k]
+        if src.any():
+            shadow[src] |= reach[k]
+    return False, reach & ~shadow
 
 
 def build_baseline(trace: UncertainTrace) -> BehaviorGraph:
@@ -116,58 +112,36 @@ def build_baseline(trace: UncertainTrace) -> BehaviorGraph:
     against.
     """
     ensure_valid(trace)
-    n = len(trace.events)
-    if n <= 1:
-        return _assemble(trace, np.zeros((n, n), dtype=np.bool_))
     t_min, t_max = _interval_arrays(trace)
-    adjacency = t_max[:, None] < t_min[None, :]
-    cyclic, reduced = _kernels.closure_reduce(adjacency)
+    cyclic, reduced = closure_reduce(t_max[:, None] < t_min[None, :])
     if cyclic:
         raise NotADagError("precedence relation is not a DAG")
-    return _assemble(trace, reduced)
+    return _assemble(trace, *np.nonzero(reduced))
 
 
-def _sweep_arrays(trace: UncertainTrace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted (times, kinds, event indices) arrays fed to the sweep kernel."""
-    events = trace.events
-    n = len(events)
-    t_min, t_max = _interval_arrays(trace)
-    certain = t_min == t_max
-    uncertain_idx = np.flatnonzero(~certain)
-    index = np.arange(n, dtype=np.int64)
-
-    times = np.concatenate([t_min, t_max[uncertain_idx]])
-    kinds = np.concatenate(
-        [
-            np.where(certain, EntryKind.CERTAIN.value, EntryKind.MINIMUM.value).astype(np.int8),
-            np.full(uncertain_idx.size, EntryKind.MAXIMUM.value, dtype=np.int8),
-        ]
-    )
-    entry_event = np.concatenate([index, uncertain_idx])
-
-    # rank of each event id in ascending string order; final sort tiebreak
-    id_rank = np.empty(n, dtype=np.int64)
-    by_id = sorted(range(n), key=lambda i: events[i].event_id)
-    for rank, i in enumerate(by_id):
-        id_rank[i] = rank
-
-    order = np.lexsort((id_rank[entry_event], kinds, times))
-    return times[order], kinds[order], entry_event[order]
+_NO_SUCCESSOR = np.array([np.iinfo(np.int64).max], dtype=np.int64)
 
 
 def build_sweep(trace: UncertainTrace) -> BehaviorGraph:
-    """Behavior graph via one sorted scan over interval endpoints.
+    """Behavior graph from the events in start order, by binary search.
 
-    Produces exactly the same graph as ``build_baseline`` without ever
-    materializing the unreduced precedence relation.
+    The trace keeps its events sorted by ``t_min``.  The successors of
+    ``v`` are the events starting after ``t_max[v]`` (from index ``lo``
+    on) and no later than ``M(v)``, the least ``t_max`` from ``lo`` on
+    (up to index ``hi``).  Produces exactly the same graph as
+    ``build_baseline`` without ever materializing the precedence
+    relation.
     """
     ensure_valid(trace)
-    n = len(trace.events)
-    if n <= 1:
-        return _assemble(trace, np.zeros((n, n), dtype=np.bool_))
-    times, kinds, entry_event = _sweep_arrays(trace)
-    edge_matrix = _kernels.sweep_scan(times, kinds, entry_event, n)
-    return _assemble(trace, edge_matrix)
+    t_min, t_max = _interval_arrays(trace)
+    suffix_min = np.concatenate([np.minimum.accumulate(t_max[::-1])[::-1], _NO_SUCCESSOR])
+    lo = np.searchsorted(t_min, t_max, side="right")
+    hi = np.searchsorted(t_min, suffix_min[lo], side="right")
+    counts = hi - lo
+    src = np.repeat(np.arange(len(counts)), counts)
+    # dst runs lo[v], lo[v] + 1, ..., hi[v] - 1 within the block of each v
+    dst = np.arange(len(src)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return _assemble(trace, src, dst)
 
 
 def transitive_reduce(
@@ -188,7 +162,7 @@ def transitive_reduce(
         if v not in position or w not in position:
             raise ValueError(f"edge ({v!r}, {w!r}) mentions an unknown vertex")
         adjacency[position[v], position[w]] = True
-    cyclic, reduced = _kernels.closure_reduce(adjacency)
+    cyclic, reduced = closure_reduce(adjacency)
     if cyclic:
         raise NotADagError("input graph is not a DAG")
     rows, cols = np.nonzero(reduced)

@@ -39,8 +39,9 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    # first use of the compiled backend pays a one-off JIT cost; keep it
-    # out of individual tests (some assert wall-clock budgets)
+    # build once with each construction before any test runs, so first-call
+    # costs (lazy imports, numpy's first dispatches) stay out of the tests
+    # that assert wall-clock budgets
     trace = UncertainTrace(
         case_id="warm",
         events=(

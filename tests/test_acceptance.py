@@ -26,7 +26,6 @@ import time
 
 import pytest
 from conftest import FIVE_EVENT_EDGES, SIX_EVENT_EDGES
-from ubgraph.backend import backend_name
 from ubgraph.bench import (
     BenchmarkResult,
     fit_scaling_exponent,
@@ -34,7 +33,7 @@ from ubgraph.bench import (
     run_traces_experiment,
     run_uncertainty_experiment,
 )
-from ubgraph.graph import build_baseline, build_sweep
+from ubgraph.graph import backend_name, build_baseline, build_sweep
 from ubgraph.loggen import (
     GenerationSpec,
     generate_certain_log,
@@ -46,6 +45,10 @@ from ubgraph.logio import export_dot, read_log, write_log
 from ubgraph.oracle import covering_relation, possible_immediate_successor, udfg_bounds_trace
 
 CRITERION_LINES: list[str] = []
+
+# criterion 4's window, also the default of `ubgraph bench length`
+CRITERION_4_LENGTHS = (512, 1024, 2048)
+CRITERION_4_TRACES = 2
 
 
 def _verdict(number: int, name: str, passed: bool, detail: str) -> str:
@@ -146,7 +149,7 @@ def length_scaling_verdict(result: BenchmarkResult) -> tuple[bool, str]:
 
 
 def test_criterion_4_length_scaling():
-    lengths, n_traces = [512, 1024, 2048], 2
+    lengths, n_traces = list(CRITERION_4_LENGTHS), CRITERION_4_TRACES
     start = time.perf_counter()
     result = run_length_experiment(
         lengths, n_traces=n_traces, p_time=0.4, repetitions=5, seed=0

@@ -1,22 +1,13 @@
-"""The compiled and interpreted kernel backends must be interchangeable."""
+"""The baseline's closure-and-reduction kernel, and the backend run records name."""
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ubgraph.backend import DISABLE_ENV, backend_name, load_numba_kernels, load_numpy_kernels
-
-NUMPY_KERNELS = load_numpy_kernels()
-NUMBA_KERNELS = load_numba_kernels()
-
-needs_numba = pytest.mark.skipif(NUMBA_KERNELS is None, reason="numba not installed")
+from ubgraph import backend_name
+from ubgraph.graph import closure_reduce
 
 
 def _python_reachability(adj: np.ndarray) -> np.ndarray:
@@ -47,7 +38,7 @@ def dags(draw, max_nodes: int = 8):
 @settings(max_examples=200, deadline=None)
 @given(dags())
 def test_numpy_reduction_against_reference(adj):
-    cyclic, reduced = NUMPY_KERNELS.closure_reduce(adj)
+    cyclic, reduced = closure_reduce(adj)
     assert not cyclic
     reach = _python_reachability(adj)
     # reduced edge: reachable directly but through no intermediate vertex
@@ -60,61 +51,5 @@ def test_numpy_reduction_against_reference(adj):
             assert bool(reduced[i, j]) == expect
 
 
-@needs_numba
-@settings(max_examples=200, deadline=None)
-@given(dags())
-def test_backends_agree_on_reduction(adj):
-    cyclic_np, reduced_np = NUMPY_KERNELS.closure_reduce(adj)
-    cyclic_nb, reduced_nb = NUMBA_KERNELS.closure_reduce(adj)
-    assert cyclic_np == cyclic_nb
-    assert np.array_equal(reduced_np, reduced_nb)
-
-
-@needs_numba
-def test_backends_agree_on_cycles():
-    adj = np.zeros((3, 3), dtype=np.bool_)
-    adj[0, 1] = adj[1, 2] = adj[2, 0] = True
-    assert NUMPY_KERNELS.closure_reduce(adj)[0]
-    assert NUMBA_KERNELS.closure_reduce(adj)[0]
-
-
-@needs_numba
-@settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_backends_agree_on_sweep(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 12))
-    t_min = rng.integers(0, 20, size=n)
-    width = rng.integers(0, 10, size=n) * rng.integers(0, 2, size=n)
-    t_max = t_min + width
-    certain = t_min == t_max
-    uncertain = np.flatnonzero(~certain)
-    times = np.concatenate([t_min, t_max[uncertain]]).astype(np.int64)
-    kinds = np.concatenate(
-        [np.where(certain, 1, 0), np.full(uncertain.size, 2)]
-    ).astype(np.int8)
-    events = np.concatenate([np.arange(n), uncertain]).astype(np.int64)
-    order = np.lexsort((events, kinds, times))
-    args = (times[order], kinds[order], events[order], n)
-    assert np.array_equal(NUMPY_KERNELS.sweep_scan(*args), NUMBA_KERNELS.sweep_scan(*args))
-
-
 def test_backend_name_reports_selection():
-    assert backend_name() in {"numba", "numpy"}
-
-
-def test_disable_flag_forces_numpy_backend():
-    env = dict(os.environ, **{DISABLE_ENV: "1"})
-    code = (
-        "from ubgraph.backend import backend_name; "
-        "from ubgraph import build_sweep, UncertainTrace, UncertainEvent; "
-        "t = UncertainTrace('c', (UncertainEvent('a', frozenset('x'), 0, 0), "
-        "UncertainEvent('b', frozenset('y'), 5, 5))); "
-        "assert build_sweep(t).edges == {('a', 'b')}; "
-        "print(backend_name())"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "numpy"
+    assert backend_name() == "numpy"

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from ubgraph import bench
+from ubgraph.bench import BenchmarkResult
 from ubgraph.cli import run
 
 
@@ -162,6 +164,21 @@ def test_bench_writes_report(tmp_path, capsys):
     assert len(lines) == 7  # 3 points x 2 algorithms
     out = capsys.readouterr().out
     assert "fitted exponent" in out
+
+
+def test_bench_length_defaults_are_criterion_4s(tmp_path, monkeypatch):
+    from test_acceptance import CRITERION_4_LENGTHS, CRITERION_4_TRACES
+
+    calls = []
+
+    def fake_experiment(lengths, n_traces, p_time, repetitions, seed):
+        calls.append((lengths, n_traces))
+        values = tuple(float(v) for v in lengths)
+        return BenchmarkResult("length", values, {"sweep": values}, repetitions, seed)
+
+    monkeypatch.setattr(bench, "run_length_experiment", fake_experiment)
+    assert run(["bench", "length", "--seed", "0", "--report", str(tmp_path / "r.csv")]) == 0
+    assert calls == [(list(CRITERION_4_LENGTHS), CRITERION_4_TRACES)]
 
 
 def test_bench_uncertainty_mode(tmp_path, capsys):

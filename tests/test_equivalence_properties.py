@@ -26,7 +26,7 @@ PROPERTY_SETTINGS = settings(max_examples=300, deadline=None)
 
 
 @st.composite
-def traces(draw, max_events: int = 12, time_range: int = 25):
+def traces(draw, max_events: int = 12, time_range: int = 25, max_width: int | None = None):
     n = draw(st.integers(min_value=0, max_value=max_events))
     events = []
     for i in range(n):
@@ -34,7 +34,7 @@ def traces(draw, max_events: int = 12, time_range: int = 25):
         if draw(st.booleans()):
             t_max = t_min
         else:
-            t_max = t_min + draw(st.integers(min_value=1, max_value=time_range))
+            t_max = t_min + draw(st.integers(min_value=1, max_value=max_width or time_range))
         events.append(
             UncertainEvent(
                 event_id=f"e{i:02d}",
@@ -50,12 +50,15 @@ def traces(draw, max_events: int = 12, time_range: int = 25):
 
 
 @PROPERTY_SETTINGS
-@given(traces())
-def test_three_routes_agree(trace):
-    baseline = build_baseline(trace)
-    sweep = build_sweep(trace)
-    expected = covering_relation(trace)
-    assert sweep.edges == baseline.edges == expected
+@given(traces(), traces(max_events=9, time_range=6, max_width=3))
+def test_three_routes_agree(trace, tie_heavy):
+    # the second trace packs up to 9 events into instants 0-9, so shared
+    # endpoints, zero-width intervals and equal instants are the norm
+    for case in (trace, tie_heavy):
+        baseline = build_baseline(case)
+        sweep = build_sweep(case)
+        expected = covering_relation(case)
+        assert sweep.edges == baseline.edges == expected
 
 
 @PROPERTY_SETTINGS

@@ -5,13 +5,11 @@ import pytest
 from conftest import FIVE_EVENT_EDGES, SIX_EVENT_EDGES
 
 from ubgraph import (
-    EntryKind,
     UncertainEvent,
     UncertainTrace,
     build_baseline,
     build_sweep,
     reachable,
-    sweep_entries,
     transitive_reduce,
 )
 from ubgraph.graph import NotADagError
@@ -76,32 +74,6 @@ def test_tied_certain_timestamps_downstream():
     )
     for build in (build_baseline, build_sweep):
         assert build(trace).edges == {("a", "x"), ("a", "y")}
-
-
-def test_sweep_entries_shape(five_event_trace):
-    entries = sweep_entries(five_event_trace)
-    # 4 certain events -> one entry each; 1 uncertain -> two entries
-    assert len(entries) == 6
-    kinds = [entry.kind for entry in entries]
-    assert kinds.count(EntryKind.CERTAIN) == 4
-    assert kinds.count(EntryKind.MINIMUM) == 1
-    assert kinds.count(EntryKind.MAXIMUM) == 1
-    assert [entry.time for entry in entries] == sorted(entry.time for entry in entries)
-
-
-def test_sweep_entries_tie_order():
-    # at one instant: minimum endpoints, then certain, then maximum
-    trace = UncertainTrace(
-        "c",
-        (_event("u", 5, 9), _event("c2", 9, 9), _event("w", 9, 14)),
-    )
-    entries = sweep_entries(trace)
-    at_nine = [(entry.kind, entry.event_id) for entry in entries if entry.time == 9]
-    assert at_nine == [
-        (EntryKind.MINIMUM, "w"),
-        (EntryKind.CERTAIN, "c2"),
-        (EntryKind.MAXIMUM, "u"),
-    ]
 
 
 def test_transitive_reduce_triangle():
