@@ -9,6 +9,7 @@ failed equivalence check).
 from __future__ import annotations
 
 import argparse
+import csv
 import re
 import sys
 from pathlib import Path
@@ -113,15 +114,29 @@ def _safe_name(case_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]", "_", case_id) or "case"
 
 
+def _dot_names(case_ids: Sequence[str]) -> list[str]:
+    """One DOT file name per case; ValueError when two cases share one."""
+    names: dict[str, str] = {}
+    for case_id in case_ids:
+        name = f"{_safe_name(case_id)}.dot"
+        if name in names:
+            raise ValueError(
+                f"cases {names[name]!r} and {case_id!r} both map to DOT file {name}"
+            )
+        names[name] = case_id
+    return list(names)
+
+
 def _cmd_graph(args: argparse.Namespace) -> int:
     log = read_log(args.input)
     build = _BUILDERS[args.algorithm]
     graphs = [build(trace) for trace in log.traces]
     if args.dot:
+        names = _dot_names([graph.case_id for graph in graphs])
         directory = Path(args.dot)
         directory.mkdir(parents=True, exist_ok=True)
-        for graph in graphs:
-            export_dot(graph, directory / f"{_safe_name(graph.case_id)}.dot")
+        for graph, name in zip(graphs, names):
+            export_dot(graph, directory / name)
         print(f"wrote {len(graphs)} DOT files to {directory}")
     else:
         for graph in graphs:
@@ -137,15 +152,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     oracle_checked = 0
     for trace in log.traces:
         baseline = build_baseline(trace)
-        sweep = build_sweep(trace)
-        if baseline.edges != sweep.edges:
-            print(
-                f"case {trace.case_id!r}: constructions disagree "
-                f"(baseline-only {sorted(baseline.edges - sweep.edges)[:5]}, "
-                f"sweep-only {sorted(sweep.edges - baseline.edges)[:5]})",
-                file=sys.stderr,
-            )
-            return 2
+        bench_mod._check_equivalent([baseline], [build_sweep(trace)])
         if args.oracle and len(trace) <= args.max_oracle_events:
             expected = covering_relation(trace)
             if baseline.edges != expected:
@@ -165,11 +172,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_udfg(args: argparse.Namespace) -> int:
     log = read_log(args.input)
     bounds = udfg_bounds_log(log)
-    rows = ["activity_a,activity_b,min,max"]
-    for (a, b), (low, high) in sorted(bounds.items()):
-        rows.append(f"{a},{b},{low},{high}")
-    data = ("\n".join(rows) + "\n").encode("utf-8")
-    Path(args.out).write_bytes(data)
+    with open(args.out, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["activity_a", "activity_b", "min", "max"])
+        writer.writerows((a, b, low, high) for (a, b), (low, high) in sorted(bounds.items()))
     print(f"wrote {len(bounds)} activity pairs to {args.out}")
     return 0
 

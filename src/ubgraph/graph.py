@@ -18,10 +18,10 @@ Two constructions are provided with identical output:
   suffix minimum and two binary searches give each event a contiguous
   range of successors, so the cost is O(n log n + |E|).
 
-Both validate their input and raise InvalidTraceError on violations.
-The array work is plain numpy.  Its matrix kernels avoid matrix products,
-so no BLAS thread pool is involved and timed sections stay
-single-threaded.
+Neither checks its input: an ``UncertainTrace`` is valid by
+construction.  The array work is plain numpy.  Its matrix kernels avoid
+matrix products, so no BLAS thread pool is involved and timed sections
+stay single-threaded.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Hashable, Iterable, Mapping
 
 import numpy as np
 
-from .model import UncertainTrace, ensure_valid
+from .model import UncertainTrace
 
 
 class NotADagError(ValueError):
@@ -111,7 +111,6 @@ def build_baseline(trace: UncertainTrace) -> BehaviorGraph:
     edges (cubic).  Serves as the reference the sweep is checked
     against.
     """
-    ensure_valid(trace)
     t_min, t_max = _interval_arrays(trace)
     cyclic, reduced = closure_reduce(t_max[:, None] < t_min[None, :])
     if cyclic:
@@ -132,7 +131,6 @@ def build_sweep(trace: UncertainTrace) -> BehaviorGraph:
     ``build_baseline`` without ever materializing the precedence
     relation.
     """
-    ensure_valid(trace)
     t_min, t_max = _interval_arrays(trace)
     suffix_min = np.concatenate([np.minimum.accumulate(t_max[::-1])[::-1], _NO_SUCCESSOR])
     lo = np.searchsorted(t_min, t_max, side="right")

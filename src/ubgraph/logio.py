@@ -21,7 +21,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from .graph import BehaviorGraph
-from .model import UncertainEvent, UncertainLog, UncertainTrace, validate_log
+from .model import InvalidTraceError, UncertainEvent, UncertainLog, UncertainTrace, validate_log
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MS = timedelta(milliseconds=1)
@@ -130,6 +130,22 @@ def _event_from_line(line: str, number: int) -> tuple[str, UncertainEvent]:
     )
 
 
+def _assemble_log(cases: dict[str, list[UncertainEvent]]) -> UncertainLog:
+    """One trace per case, checked; every violation in one LogFormatError."""
+    traces: list[UncertainTrace] = []
+    violations: list[str] = []
+    for case_id, events in sorted(cases.items()):
+        try:
+            traces.append(UncertainTrace(case_id=case_id, events=tuple(events)))
+        except InvalidTraceError as err:
+            violations.extend(err.violations)
+    log = UncertainLog(traces=tuple(traces))
+    violations.extend(validate_log(log))
+    if violations:
+        raise LogFormatError("; ".join(violations))
+    return log
+
+
 def read_log(source: str | Path) -> UncertainLog:
     """Parse a JSON-lines file written by write_log (any line order)."""
     cases: dict[str, list[UncertainEvent]] = {}
@@ -139,16 +155,7 @@ def read_log(source: str | Path) -> UncertainLog:
                 continue
             case_id, event = _event_from_line(line, number)
             cases.setdefault(case_id, []).append(event)
-    log = UncertainLog(
-        traces=tuple(
-            UncertainTrace(case_id=case_id, events=tuple(events))
-            for case_id, events in cases.items()
-        )
-    )
-    violations = validate_log(log)
-    if violations:
-        raise LogFormatError("; ".join(violations))
-    return log
+    return _assemble_log(cases)
 
 
 def import_certain_csv(
@@ -199,16 +206,7 @@ def import_certain_csv(
                     t_max=instant,
                 )
             )
-    log = UncertainLog(
-        traces=tuple(
-            UncertainTrace(case_id=case_id, events=tuple(events))
-            for case_id, events in cases.items()
-        )
-    )
-    violations = validate_log(log)
-    if violations:
-        raise LogFormatError("; ".join(violations))
-    return log
+    return _assemble_log(cases)
 
 
 def _dot_quote(text: str) -> str:

@@ -13,6 +13,7 @@ timestamp is represented by a degenerate interval (t_min == t_max).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 
@@ -39,6 +40,9 @@ class UncertainEvent:
             object.__setattr__(self, "activities", frozenset(self.activities))
 
 
+_CANONICAL_ORDER = attrgetter("t_min", "t_max", "event_id")
+
+
 @dataclass(frozen=True)
 class UncertainTrace:
     """All events recorded for one case.
@@ -46,16 +50,20 @@ class UncertainTrace:
     Events are kept in the canonical order (t_min, t_max, event_id).
     Storage order carries no meaning: the behavior of the trace is fully
     determined by the events' timestamp intervals.
+
+    A trace is valid by construction: building one that breaks a rule
+    of ``validate_trace`` raises InvalidTraceError with every violation,
+    so no consumer of a trace checks it again.
     """
 
     case_id: str
     events: tuple[UncertainEvent, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        ordered = tuple(
-            sorted(self.events, key=lambda e: (e.t_min, e.t_max, e.event_id))
-        )
-        object.__setattr__(self, "events", ordered)
+        object.__setattr__(self, "events", tuple(sorted(self.events, key=_CANONICAL_ORDER)))
+        violations = validate_trace(self)
+        if violations:
+            raise InvalidTraceError(self.case_id, violations)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -82,7 +90,7 @@ class UncertainLog:
 
 
 class InvalidTraceError(ValueError):
-    """Raised when an operation receives a trace that fails validation."""
+    """Raised when a trace is built from events that break its rules."""
 
     def __init__(self, case_id: str, violations: list[str]):
         self.case_id = case_id
@@ -92,11 +100,12 @@ class InvalidTraceError(ValueError):
 
 
 def validate_trace(trace: UncertainTrace) -> list[str]:
-    """Check every model invariant; return a list of violations.
+    """The rule every trace obeys; returns the list of violations.
 
     An empty list means the trace is valid.  Each violation names the
-    offending event id and the rule it breaks.  Nothing is raised here
-    so that callers can report all problems at once.
+    offending event id and the rule it breaks.  ``UncertainTrace`` runs
+    this when it is built and raises InvalidTraceError with the whole
+    list, so for any trace that exists the result is empty.
 
     Timestamps must be Python ``int``.  ``bool`` is refused although it
     subclasses ``int``, and so are numpy integers, which the JSONL
@@ -105,34 +114,31 @@ def validate_trace(trace: UncertainTrace) -> list[str]:
     violations: list[str] = []
     seen: set[str] = set()
     for event in trace.events:
-        if not event.event_id:
+        # every trace built pays this loop, so read each field once
+        event_id, t_min, t_max = event.event_id, event.t_min, event.t_max
+        if not event_id:
             violations.append("empty event id")
-        elif event.event_id in seen:
-            violations.append(f"duplicate event id {event.event_id}")
+        elif event_id in seen:
+            violations.append(f"duplicate event id {event_id}")
         else:
-            seen.add(event.event_id)
+            seen.add(event_id)
         if not event.activities:
-            violations.append(f"event {event.event_id} has no activity labels")
-        if not isinstance(event.t_min, int) or not isinstance(event.t_max, int):
-            violations.append(f"event {event.event_id} has non-integer timestamps")
-        elif isinstance(event.t_min, bool) or isinstance(event.t_max, bool):
-            violations.append(f"event {event.event_id} has bool timestamps")
-        elif event.t_min > event.t_max:
-            violations.append(
-                f"event {event.event_id} has t_min {event.t_min} > t_max {event.t_max}"
-            )
+            violations.append(f"event {event_id} has no activity labels")
+        if not isinstance(t_min, int) or not isinstance(t_max, int):
+            violations.append(f"event {event_id} has non-integer timestamps")
+        elif isinstance(t_min, bool) or isinstance(t_max, bool):
+            violations.append(f"event {event_id} has bool timestamps")
+        elif t_min > t_max:
+            violations.append(f"event {event_id} has t_min {t_min} > t_max {t_max}")
     return violations
 
 
-def ensure_valid(trace: UncertainTrace) -> None:
-    """Raise InvalidTraceError if the trace breaks any invariant."""
-    violations = validate_trace(trace)
-    if violations:
-        raise InvalidTraceError(trace.case_id, violations)
-
-
 def validate_log(log: UncertainLog) -> list[str]:
-    """Validate every trace plus the log-level uniqueness invariants."""
+    """Check the log-level rules; return a list of violations.
+
+    Case ids must be unique and no event id may appear in more than one
+    trace.  Each trace was already checked when it was built.
+    """
     violations: list[str] = []
     seen_cases: set[str] = set()
     seen_events: set[str] = set()
@@ -140,7 +146,6 @@ def validate_log(log: UncertainLog) -> list[str]:
         if trace.case_id in seen_cases:
             violations.append(f"duplicate case id {trace.case_id}")
         seen_cases.add(trace.case_id)
-        violations.extend(validate_trace(trace))
         for event in trace.events:
             if event.event_id in seen_events:
                 violations.append(

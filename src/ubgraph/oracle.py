@@ -4,7 +4,9 @@ Everything here enumerates: orderings, realizations, directly-follows
 counts.  The implementations are deliberately simple and kept separate
 from the graph kernels so the two routes (enumeration vs construction)
 can be checked against each other.  Size guards stop the factorial
-blowup early; costs beyond them are not supported.
+blowup early; costs beyond them are not supported.  Input is taken as
+it comes: an ``UncertainTrace`` is valid by construction, so nothing
+here checks it again.
 
 The directly-follows bounds are exact: ``udfg_bounds_trace`` walks the
 realizations once, lazily, and folds each one's pair counts into
@@ -20,7 +22,7 @@ from itertools import combinations, product
 from math import prod
 from typing import Iterator
 
-from .model import UncertainEvent, UncertainTrace, ensure_valid, precedes
+from .model import UncertainEvent, UncertainTrace, precedes
 
 MAX_EXTENSION_EVENTS = 10
 MAX_REALIZATION_EVENTS = 8
@@ -42,7 +44,6 @@ def covering_relation(trace: UncertainTrace) -> frozenset[tuple[str, str]]:
     Direct evaluation of the definition, cubic in the trace length.
     This is the reference edge set of the behavior graph.
     """
-    ensure_valid(trace)
     events = trace.events
     return frozenset(
         (v.event_id, w.event_id)
@@ -89,7 +90,6 @@ def linear_extensions(trace: UncertainTrace) -> frozenset[tuple[str, ...]]:
 
     Refuses traces longer than MAX_EXTENSION_EVENTS events.
     """
-    ensure_valid(trace)
     if len(trace.events) > MAX_EXTENSION_EVENTS:
         raise SizeLimitError(
             f"trace {trace.case_id!r} has {len(trace.events)} events; "
@@ -124,7 +124,6 @@ def _extensions_within_budget(trace: UncertainTrace) -> set[tuple[str, ...]]:
     raises SizeLimitError.  The extensions of the full trace are
     computed for the bound and returned for reuse.
     """
-    ensure_valid(trace)
     events = trace.events
     if len(events) > MAX_REALIZATION_EVENTS:
         raise SizeLimitError(

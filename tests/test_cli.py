@@ -1,12 +1,39 @@
 from __future__ import annotations
 
+import csv
+import dataclasses
 import json
 
 import pytest
 
-from ubgraph import bench
+from ubgraph import (
+    UncertainEvent,
+    UncertainLog,
+    UncertainTrace,
+    bench,
+    build_sweep,
+    cli,
+    write_log,
+)
 from ubgraph.bench import BenchmarkResult
 from ubgraph.cli import run
+
+
+def _write(tmp_path, *traces):
+    path = tmp_path / "log.jsonl"
+    write_log(UncertainLog(traces), path)
+    return path
+
+
+def _trace(case_id, *labels):
+    # one certain event per label set, 1 s apart
+    return UncertainTrace(
+        case_id,
+        tuple(
+            UncertainEvent(f"{case_id}/{k}", frozenset(names), k * 1000, k * 1000)
+            for k, names in enumerate(labels)
+        ),
+    )
 
 
 def _generate(tmp_path, **overrides):
@@ -51,6 +78,16 @@ def test_graph_dot_is_stable_across_runs(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+def test_graph_dot_name_clash_exits_one_before_writing(tmp_path, capsys):
+    log_path = _write(tmp_path, _trace("a b", {"x"}), _trace("a_b", {"x"}))
+    out_dir = tmp_path / "out"
+    assert run(["graph", "--in", str(log_path), "--algorithm", "sweep", "--dot", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "'a b'" in err and "'a_b'" in err and "a_b.dot" in err
+    assert not out_dir.exists()
+
+
 def test_generate_is_deterministic(tmp_path):
     a = _generate(tmp_path)
     data = a.read_bytes()
@@ -79,6 +116,22 @@ def test_check_without_oracle_quiet(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "all 10 traces equivalent" in out
     assert "oracle checked" not in out
+
+
+def test_check_disagreement_exits_two_naming_the_case(tmp_path, capsys, monkeypatch):
+    log_path = _generate(tmp_path, **{"--traces": "2"})
+
+    def drop_one_edge(trace):
+        graph = build_sweep(trace)
+        if trace.case_id != "c1":
+            return graph
+        return dataclasses.replace(graph, edges=frozenset(sorted(graph.edges)[1:]))
+
+    monkeypatch.setattr(cli, "build_sweep", drop_one_edge)
+    assert run(["check", "--in", str(log_path)]) == 2
+    err = capsys.readouterr().err
+    assert "constructions disagree on case 'c1'" in err
+    assert "c0" not in err
 
 
 def test_missing_input_file_is_validation_error(tmp_path, capsys):
@@ -126,6 +179,15 @@ def test_udfg_csv(tmp_path, capsys):
         "activity_a,activity_b,min,max",
         "a,b,2,2",
     ]
+
+
+def test_udfg_csv_quotes_labels_with_commas(tmp_path, capsys):
+    log_path = _write(tmp_path, _trace("c", {"y,z"}, {"q"}))
+    out_csv = tmp_path / "udfg.csv"
+    assert run(["udfg", "--in", str(log_path), "--out", str(out_csv)]) == 0
+    assert out_csv.read_text() == 'activity_a,activity_b,min,max\n"y,z",q,1,1\n'
+    with open(out_csv, newline="") as handle:
+        assert list(csv.reader(handle))[1] == ["y,z", "q", "1", "1"]
 
 
 def test_udfg_too_large_trace_exits_one(tmp_path, capsys):

@@ -13,7 +13,6 @@ from ubgraph import (
     transitive_reduce,
 )
 from ubgraph.graph import NotADagError
-from ubgraph.model import InvalidTraceError
 
 
 def _event(event_id, t_min, t_max, labels=("a",)):
@@ -56,13 +55,6 @@ def test_degenerate_traces(build, size):
     graph = build(trace)
     assert len(graph.vertices) == size
     assert graph.edges == frozenset()
-
-
-@pytest.mark.parametrize("build", [build_baseline, build_sweep])
-def test_invalid_trace_rejected(build):
-    trace = UncertainTrace("c", (_event("e1", 0, 0), _event("e1", 1, 1)))
-    with pytest.raises(InvalidTraceError, match="duplicate event id e1"):
-        build(trace)
 
 
 def test_tied_certain_timestamps_downstream():

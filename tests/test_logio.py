@@ -145,6 +145,30 @@ def test_read_rejects_duplicate_event_ids(tmp_path):
         read_log(path)
 
 
+def test_read_reports_every_violation_in_one_error(tmp_path):
+    # two invalid cases, plus an event id shared by two valid ones
+    path = tmp_path / "bad.jsonl"
+    lines = [
+        {
+            "case": case_id,
+            "event": event_id,
+            "activities": ["a"],
+            "t_min": "2011-12-05T00:00:00Z",
+            "t_max": "2011-12-05T00:00:00Z",
+        }
+        for case_id, event_id in [
+            ("c1", "x"), ("c1", "x"), ("c2", "y"), ("c2", "y"), ("c3", "z"), ("c4", "z")
+        ]
+    ]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    with pytest.raises(LogFormatError) as caught:
+        read_log(path)
+    assert str(caught.value) == (
+        "duplicate event id x; duplicate event id y; "
+        "event id z appears in more than one trace"
+    )
+
+
 def test_import_csv(tmp_path):
     path = tmp_path / "events.csv"
     path.write_text(
@@ -166,6 +190,13 @@ def test_import_csv_with_id_column(tmp_path):
     path.write_text("case,activity,timestamp,id\nc1,a,05-12-2011,ev9\n")
     log = import_certain_csv(path, "case", "activity", "timestamp", id_col="id")
     assert log.traces[0].events[0].event_id == "ev9"
+
+
+def test_import_csv_rejects_repeated_id_column_value(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_text("case,activity,timestamp,id\nc1,a,05-12-2011,ev9\nc1,b,06-12-2011,ev9\n")
+    with pytest.raises(LogFormatError, match="duplicate event id ev9"):
+        import_certain_csv(path, "case", "activity", "timestamp", id_col="id")
 
 
 def test_import_csv_reports_row_numbers(tmp_path):

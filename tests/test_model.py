@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,7 @@ from ubgraph import (
     validate_log,
     validate_trace,
 )
-from ubgraph.model import InvalidTraceError, ensure_valid
+from ubgraph.model import InvalidTraceError
 
 
 def _event(event_id, t_min, t_max, labels=("a",), determinate=True):
@@ -44,28 +45,35 @@ def test_validate_ok(five_event_trace):
     assert validate_trace(five_event_trace) == []
 
 
+def _violations(*events):
+    """The violations UncertainTrace raises for these events."""
+    with pytest.raises(InvalidTraceError) as caught:
+        UncertainTrace("c", events)
+    assert caught.value.case_id == "c"
+    return caught.value.violations
+
+
 def test_validate_duplicate_id():
-    trace = UncertainTrace("c", (_event("e1", 0, 0), _event("e1", 5, 5)))
-    violations = validate_trace(trace)
-    assert any("duplicate event id e1" in v for v in violations)
+    assert _violations(_event("e1", 0, 0), _event("e1", 5, 5)) == [
+        "duplicate event id e1"
+    ]
 
 
 def test_validate_empty_activities():
-    trace = UncertainTrace("c", (UncertainEvent("e1", frozenset(), 0, 0),))
-    violations = validate_trace(trace)
-    assert any("e1" in v and "activity" in v for v in violations)
+    assert _violations(UncertainEvent("e1", frozenset(), 0, 0)) == [
+        "event e1 has no activity labels"
+    ]
 
 
 def test_validate_interval_backwards():
-    trace = UncertainTrace("c", (UncertainEvent("e1", frozenset({"a"}), 9, 2),))
-    violations = validate_trace(trace)
-    assert any("e1" in v and "t_min" in v for v in violations)
+    assert _violations(UncertainEvent("e1", frozenset({"a"}), 9, 2)) == [
+        "event e1 has t_min 9 > t_max 2"
+    ]
 
 
 def test_validate_bool_timestamps():
     # bool subclasses int but is not a timestamp
-    trace = UncertainTrace("c", (_event("e1", True, 5), _event("e2", 0, False)))
-    assert validate_trace(trace) == [
+    assert _violations(_event("e1", True, 5), _event("e2", 0, False)) == [
         "event e2 has bool timestamps",
         "event e1 has bool timestamps",
     ]
@@ -73,25 +81,22 @@ def test_validate_bool_timestamps():
 
 def test_validate_numpy_integer_timestamps():
     # refused on purpose: the JSONL writer cannot format numpy integers
-    trace = UncertainTrace("c", (_event("e1", np.int64(0), np.int64(5)),))
-    assert validate_trace(trace) == ["event e1 has non-integer timestamps"]
+    assert _violations(_event("e1", np.int64(0), np.int64(5))) == [
+        "event e1 has non-integer timestamps"
+    ]
 
 
 def test_validate_empty_trace_ok():
     assert validate_trace(UncertainTrace("c")) == []
 
 
-def test_ensure_valid_raises_with_all_violations():
-    trace = UncertainTrace(
-        "c", (UncertainEvent("e1", frozenset(), 5, 1), _event("e1", 0, 0))
-    )
-    try:
-        ensure_valid(trace)
-    except InvalidTraceError as err:
-        assert err.case_id == "c"
-        assert len(err.violations) >= 2
-    else:
-        raise AssertionError("expected InvalidTraceError")
+def test_trace_construction_raises_with_all_violations():
+    violations = _violations(UncertainEvent("e1", frozenset(), 5, 1), _event("e1", 0, 0))
+    assert violations == [
+        "duplicate event id e1",
+        "event e1 has no activity labels",
+        "event e1 has t_min 5 > t_max 1",
+    ]
 
 
 def test_validate_log_cross_trace_duplicates():
