@@ -18,8 +18,9 @@ Two constructions are provided with identical output:
   suffix minimum and two binary searches give each event a contiguous
   range of successors, so the cost is O(n log n + |E|).
 
-Neither checks its input: an ``UncertainTrace`` is valid by
-construction.  The array work is plain numpy.  Its matrix kernels avoid
+Both read the trace's columns (the ``t_min``/``t_max`` int64 arrays,
+ids, activity sets and flags), never ``trace.events``, and neither
+checks its input: an ``UncertainTrace`` is valid by construction.  The array work is plain numpy.  Its matrix kernels avoid
 matrix products, so no BLAS thread pool is involved and timed sections
 stay single-threaded.
 """
@@ -31,7 +32,10 @@ from typing import Hashable, Iterable, Mapping
 
 import numpy as np
 
-from .model import UncertainTrace
+from .model import SizeLimitError, UncertainTrace
+
+# 16 MB per dense n x n matrix at this size; criterion 4 goes up to 2048
+MAX_BASELINE_EVENTS = 4096
 
 
 class NotADagError(ValueError):
@@ -57,26 +61,15 @@ def backend_name() -> str:
     return "numpy"
 
 
-def _interval_arrays(trace: UncertainTrace) -> tuple[np.ndarray, np.ndarray]:
-    n = len(trace.events)
-    t_min = np.fromiter((e.t_min for e in trace.events), dtype=np.int64, count=n)
-    t_max = np.fromiter((e.t_max for e in trace.events), dtype=np.int64, count=n)
-    return t_min, t_max
-
-
 def _assemble(trace: UncertainTrace, src: np.ndarray, dst: np.ndarray) -> BehaviorGraph:
-    """Graph of ``trace`` whose edges are ``events[src[k]] -> events[dst[k]]``."""
-    ids = [e.event_id for e in trace.events]
-    payload = {
-        e.event_id: (e.activities, e.determinate) for e in trace.events
-    }
+    """Graph of ``trace`` whose edges are ``event_ids[src[k]] -> event_ids[dst[k]]``."""
+    ids = trace.event_ids
     get = ids.__getitem__
-    edges = frozenset(zip(map(get, src.tolist()), map(get, dst.tolist())))
     return BehaviorGraph(
         case_id=trace.case_id,
         vertices=frozenset(ids),
-        edges=edges,
-        payload=payload,
+        edges=frozenset(zip(map(get, src.tolist()), map(get, dst.tolist()))),
+        payload=dict(zip(ids, zip(trace.activities, trace.determinate))),
     )
 
 
@@ -109,9 +102,16 @@ def build_baseline(trace: UncertainTrace) -> BehaviorGraph:
 
     Enumerates every ordered pair (quadratic), then strips transitive
     edges (cubic).  Serves as the reference the sweep is checked
-    against.
+    against.  Its n x n matrices need n**2 bytes each, about three at
+    once, so a trace of more than MAX_BASELINE_EVENTS events raises
+    SizeLimitError before anything is allocated.
     """
-    t_min, t_max = _interval_arrays(trace)
+    if len(trace) > MAX_BASELINE_EVENTS:
+        raise SizeLimitError(
+            f"trace {trace.case_id!r} has {len(trace)} events; the baseline "
+            f"construction is limited to {MAX_BASELINE_EVENTS}"
+        )
+    t_min, t_max = trace.t_min, trace.t_max
     cyclic, reduced = closure_reduce(t_max[:, None] < t_min[None, :])
     if cyclic:
         raise NotADagError("precedence relation is not a DAG")
@@ -131,7 +131,7 @@ def build_sweep(trace: UncertainTrace) -> BehaviorGraph:
     ``build_baseline`` without ever materializing the precedence
     relation.
     """
-    t_min, t_max = _interval_arrays(trace)
+    t_min, t_max = trace.t_min, trace.t_max
     suffix_min = np.concatenate([np.minimum.accumulate(t_max[::-1])[::-1], _NO_SUCCESSOR])
     lo = np.searchsorted(t_min, t_max, side="right")
     hi = np.searchsorted(t_min, suffix_min[lo], side="right")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import UncertainEvent, UncertainLog, UncertainTrace
+from .model import UncertainLog, UncertainTrace
 
 STRIDE_MS = 1000
 
@@ -76,20 +76,21 @@ def generate_certain_log(spec: GenerationSpec) -> UncertainLog:
     event is determinate.  Event ids are "<case>#<k>".
     """
     traces = []
+    times = [(k + 1) * STRIDE_MS for k in range(spec.trace_length)]
     for t in range(spec.n_traces):
         case_id = f"c{t}"
         rng = _rng(spec.seed, _STAGE_GENERATE, t)
         picks = rng.integers(0, spec.alphabet_size, size=spec.trace_length)
-        events = tuple(
-            UncertainEvent(
-                event_id=f"{case_id}#{k + 1}",
-                activities=frozenset({activity_label(int(picks[k]))}),
-                t_min=(k + 1) * STRIDE_MS,
-                t_max=(k + 1) * STRIDE_MS,
+        traces.append(
+            UncertainTrace.from_columns(
+                case_id,
+                [f"{case_id}#{k + 1}" for k in range(spec.trace_length)],
+                [frozenset({activity_label(pick)}) for pick in picks.tolist()],
+                times,
+                times,
+                [True] * spec.trace_length,
             )
-            for k in range(spec.trace_length)
         )
-        traces.append(UncertainTrace(case_id=case_id, events=events))
     return UncertainLog(traces=tuple(traces))
 
 
@@ -97,6 +98,26 @@ def _choose(rng: np.random.Generator, count: int, share: int) -> np.ndarray:
     if share == 0:
         return np.empty(0, dtype=np.int64)
     return rng.choice(count, size=share, replace=False)
+
+
+def _chosen(seed: int, stage: int, t: int, trace: UncertainTrace, p: float):
+    """The stage's generator for trace ``t`` and the positions it picks."""
+    rng = _rng(seed, stage, t)
+    return rng, _choose(rng, len(trace), _share(p, len(trace))).tolist()
+
+
+def _rebuild(
+    trace: UncertainTrace, activities=None, t_min=None, t_max=None, determinate=None
+) -> UncertainTrace:
+    """``trace`` with the given columns replaced; the rest are kept."""
+    return UncertainTrace.from_columns(
+        trace.case_id,
+        trace.event_ids,
+        trace.activities if activities is None else activities,
+        trace.t_min.tolist() if t_min is None else t_min,
+        trace.t_max.tolist() if t_max is None else t_max,
+        trace.determinate if determinate is None else determinate,
+    )
 
 
 def inject_time_uncertainty(
@@ -112,21 +133,14 @@ def inject_time_uncertainty(
     half_width = int(1.5 * stride)
     traces = []
     for t, trace in enumerate(log.traces):
-        rng = _rng(seed, _STAGE_TIME, t)
-        chosen = set(_choose(rng, len(trace.events), _share(p, len(trace.events))).tolist())
-        events = []
-        for i, event in enumerate(trace.events):
-            if i in chosen:
-                centre = event.t_min
-                event = UncertainEvent(
-                    event_id=event.event_id,
-                    activities=event.activities,
-                    t_min=centre - half_width,
-                    t_max=centre + half_width,
-                    determinate=event.determinate,
-                )
-            events.append(event)
-        traces.append(UncertainTrace(case_id=trace.case_id, events=tuple(events)))
+        _, chosen = _chosen(seed, _STAGE_TIME, t, trace, p)
+        t_min = trace.t_min.tolist()
+        t_max = trace.t_max.tolist()
+        for i in chosen:
+            centre = t_min[i]
+            t_min[i] = centre - half_width
+            t_max[i] = centre + half_width
+        traces.append(_rebuild(trace, t_min=t_min, t_max=t_max))
     return UncertainLog(traces=tuple(traces))
 
 
@@ -148,32 +162,25 @@ def inject_activity_uncertainty(
         raise ValueError("extra_labels must be at least 1")
     traces = []
     for t, trace in enumerate(log.traces):
-        rng = _rng(seed, _STAGE_ACTIVITY, t)
-        chosen = set(_choose(rng, len(trace.events), _share(p, len(trace.events))).tolist())
-        events = []
-        for i, event in enumerate(trace.events):
-            if i in chosen:
-                pool = [
-                    label
-                    for label in (activity_label(j) for j in range(alphabet_size))
-                    if label not in event.activities
-                ]
-                j = alphabet_size
-                while len(pool) < extra_labels:
-                    label = activity_label(j)
-                    if label not in event.activities:
-                        pool.append(label)
-                    j += 1
-                added = rng.choice(len(pool), size=extra_labels, replace=False)
-                event = UncertainEvent(
-                    event_id=event.event_id,
-                    activities=event.activities | {pool[int(a)] for a in added},
-                    t_min=event.t_min,
-                    t_max=event.t_max,
-                    determinate=event.determinate,
-                )
-            events.append(event)
-        traces.append(UncertainTrace(case_id=trace.case_id, events=tuple(events)))
+        rng, chosen = _chosen(seed, _STAGE_ACTIVITY, t, trace, p)
+        activities = list(trace.activities)
+        # positions in ascending order: the draws follow event order
+        for i in sorted(chosen):
+            labels = activities[i]
+            pool = [
+                label
+                for label in (activity_label(j) for j in range(alphabet_size))
+                if label not in labels
+            ]
+            j = alphabet_size
+            while len(pool) < extra_labels:
+                label = activity_label(j)
+                if label not in labels:
+                    pool.append(label)
+                j += 1
+            added = rng.choice(len(pool), size=extra_labels, replace=False)
+            activities[i] = labels | {pool[int(a)] for a in added}
+        traces.append(_rebuild(trace, activities=activities))
     return UncertainLog(traces=tuple(traces))
 
 
@@ -182,18 +189,9 @@ def inject_indeterminacy(log: UncertainLog, p: float, seed: int) -> UncertainLog
     _check_probability(p)
     traces = []
     for t, trace in enumerate(log.traces):
-        rng = _rng(seed, _STAGE_INDETERMINATE, t)
-        chosen = set(_choose(rng, len(trace.events), _share(p, len(trace.events))).tolist())
-        events = []
-        for i, event in enumerate(trace.events):
-            if i in chosen:
-                event = UncertainEvent(
-                    event_id=event.event_id,
-                    activities=event.activities,
-                    t_min=event.t_min,
-                    t_max=event.t_max,
-                    determinate=False,
-                )
-            events.append(event)
-        traces.append(UncertainTrace(case_id=trace.case_id, events=tuple(events)))
+        _, chosen = _chosen(seed, _STAGE_INDETERMINATE, t, trace, p)
+        determinate = list(trace.determinate)
+        for i in chosen:
+            determinate[i] = False
+        traces.append(_rebuild(trace, determinate=determinate))
     return UncertainLog(traces=tuple(traces))

@@ -5,7 +5,9 @@ Three formats:
 * JSON lines, the native format.  One event per line with keys case,
   event, activities, t_min, t_max, determinate.  Timestamps are
   ISO-8601 UTC strings with millisecond precision.  Lines may appear in
-  any order; events sharing a "case" value form one trace.
+  any order; events sharing a "case" value form one trace.  Reading
+  and writing go through the trace's columns and make no event
+  objects.
 * CSV import for conventional logs: one certain event per row, column
   names supplied by the caller.
 * DOT export of a behavior graph, byte-deterministic, with dashed
@@ -18,14 +20,17 @@ import csv
 import json
 import re
 from datetime import datetime, timedelta, timezone
+from itertools import groupby, repeat
+from operator import itemgetter
 from pathlib import Path
 
 from .graph import BehaviorGraph
-from .model import InvalidTraceError, UncertainEvent, UncertainLog, UncertainTrace, validate_log
+from .model import InvalidTraceError, UncertainLog, UncertainTrace, validate_log
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MS = timedelta(milliseconds=1)
 _DAY_FIRST = re.compile(r"(\d{2})-(\d{2})-(\d{4})")
+_CASE = itemgetter(0)
 
 
 class LogFormatError(ValueError):
@@ -35,26 +40,34 @@ class LogFormatError(ValueError):
 def format_timestamp(ms: int) -> str:
     """Epoch milliseconds to an ISO-8601 UTC string, e.g. 2011-12-05T00:00:00.000Z."""
     dt = _EPOCH + timedelta(milliseconds=ms)
-    return f"{dt.strftime('%Y-%m-%dT%H:%M:%S')}.{dt.microsecond // 1000:03d}Z"
+    return (
+        f"{dt.year:04d}-{dt.month:02d}-{dt.day:02d}T"
+        f"{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}.{dt.microsecond // 1000:03d}Z"
+    )
 
 
 def parse_timestamp(text: str) -> int:
     """ISO-8601 (or DD-MM-YYYY) to epoch milliseconds.
 
     Date-only values mean midnight UTC; naive datetimes are taken as
-    UTC.  Raises ValueError for anything unparseable.
+    UTC.  Instants are rounded to the nearest millisecond, ties to
+    even.  Raises ValueError for anything unparseable.
     """
     value = text.strip()
-    match = _DAY_FIRST.fullmatch(value)
-    if match:
-        day, month, year = (int(g) for g in match.groups())
-        dt = datetime(year, month, day, tzinfo=timezone.utc)
-    else:
-        if value.endswith("Z"):
-            value = value[:-1] + "+00:00"
+    try:
         dt = datetime.fromisoformat(value)
-        if dt.tzinfo is None:
-            dt = dt.replace(tzinfo=timezone.utc)
+    except ValueError:
+        match = _DAY_FIRST.fullmatch(value)
+        if match:
+            day, month, year = (int(g) for g in match.groups())
+            dt = datetime(year, month, day)
+        elif value.endswith("Z"):
+            # before Python 3.11, fromisoformat does not read the Z suffix
+            dt = datetime.fromisoformat(value[:-1] + "+00:00")
+        else:
+            raise
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
     return round((dt - _EPOCH) / _MS)
 
 
@@ -66,29 +79,42 @@ def write_log(log: UncertainLog, destination: str | Path) -> int:
     """
     rows = []
     for trace in log.traces:
-        for event in trace.events:
-            rows.append((trace.case_id, event.t_min, event.event_id, event))
+        rows.extend(
+            zip(
+                repeat(trace.case_id),
+                trace.t_min.tolist(),
+                trace.event_ids,
+                trace.activities,
+                trace.t_max.tolist(),
+                trace.determinate,
+            )
+        )
     rows.sort(key=lambda row: row[:3])
     payload = "".join(
         json.dumps(
             {
                 "case": case_id,
-                "event": event.event_id,
-                "activities": sorted(event.activities),
-                "t_min": format_timestamp(event.t_min),
-                "t_max": format_timestamp(event.t_max),
-                "determinate": event.determinate,
+                "event": event_id,
+                "activities": sorted(activities),
+                "t_min": format_timestamp(t_min),
+                "t_max": format_timestamp(t_max),
+                "determinate": determinate,
             }
         )
         + "\n"
-        for case_id, _, _, event in rows
+        for case_id, t_min, event_id, activities, t_max, determinate in rows
     )
     data = payload.encode("utf-8")
     Path(destination).write_bytes(data)
     return len(data)
 
 
-def _event_from_line(line: str, number: int) -> tuple[str, UncertainEvent]:
+# one event as read: (case, event id, activities, t_min, t_max, determinate)
+_Row = tuple[str, str, frozenset[str], int, int, bool]
+
+
+def _row_from_line(line: str, number: int, label_sets: dict[tuple, frozenset[str]]) -> _Row:
+    """One line's row, after its checks; equal label lists share one frozenset."""
     try:
         record = json.loads(line)
     except json.JSONDecodeError as err:
@@ -106,7 +132,7 @@ def _event_from_line(line: str, number: int) -> tuple[str, UncertainEvent]:
         raise LogFormatError(f"line {number}: missing key {err.args[0]!r}") from err
     if not isinstance(case_id, str) or not isinstance(event_id, str):
         raise LogFormatError(f"line {number}: case and event must be strings")
-    if not isinstance(activities, list) or not all(isinstance(a, str) for a in activities):
+    if not isinstance(activities, list) or not all(map(isinstance, activities, repeat(str))):
         raise LogFormatError(f"line {number}: activities must be a list of strings")
     if not activities:
         raise LogFormatError(f"line {number}: event {event_id} has no activity labels")
@@ -121,22 +147,26 @@ def _event_from_line(line: str, number: int) -> tuple[str, UncertainEvent]:
         raise LogFormatError(
             f"line {number}: event {event_id} has t_min after t_max"
         )
-    return case_id, UncertainEvent(
-        event_id=event_id,
-        activities=frozenset(activities),
-        t_min=t_min,
-        t_max=t_max,
-        determinate=determinate,
-    )
+    key = tuple(activities)
+    labels = label_sets.get(key)
+    if labels is None:
+        labels = label_sets[key] = frozenset(key)
+    return case_id, event_id, labels, t_min, t_max, determinate
 
 
-def _assemble_log(cases: dict[str, list[UncertainEvent]]) -> UncertainLog:
-    """One trace per case, checked; every violation in one LogFormatError."""
+def _assemble_log(rows: list[_Row]) -> UncertainLog:
+    """One trace per case, built from columns; every violation in one LogFormatError."""
+    rows.sort(key=_CASE)  # stable: groups the cases, in case-id order
     traces: list[UncertainTrace] = []
     violations: list[str] = []
-    for case_id, events in sorted(cases.items()):
+    for case_id, group in groupby(rows, key=_CASE):
+        _, event_ids, activities, t_min, t_max, determinate = zip(*group)
         try:
-            traces.append(UncertainTrace(case_id=case_id, events=tuple(events)))
+            traces.append(
+                UncertainTrace.from_columns(
+                    case_id, event_ids, activities, t_min, t_max, determinate
+                )
+            )
         except InvalidTraceError as err:
             violations.extend(err.violations)
     log = UncertainLog(traces=tuple(traces))
@@ -147,15 +177,19 @@ def _assemble_log(cases: dict[str, list[UncertainEvent]]) -> UncertainLog:
 
 
 def read_log(source: str | Path) -> UncertainLog:
-    """Parse a JSON-lines file written by write_log (any line order)."""
-    cases: dict[str, list[UncertainEvent]] = {}
+    """Parse a JSON-lines file written by write_log (any line order).
+
+    Each non-blank line is decoded on its own, so an object spread over
+    several lines is refused.  No event object is made: the lines fill
+    one row each, and every case becomes a trace built from columns.
+    """
+    rows: list[_Row] = []
+    label_sets: dict[tuple, frozenset[str]] = {}
     with open(source, "r", encoding="utf-8") as handle:
         for number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            case_id, event = _event_from_line(line, number)
-            cases.setdefault(case_id, []).append(event)
-    return _assemble_log(cases)
+            if line.strip():
+                rows.append(_row_from_line(line, number, label_sets))
+    return _assemble_log(rows)
 
 
 def import_certain_csv(
@@ -171,7 +205,7 @@ def import_certain_csv(
     timestamp.  Without ``id_col``, ids are generated as
     "<case>#<k>" with k counting the case's rows from 1.
     """
-    cases: dict[str, list[UncertainEvent]] = {}
+    rows: list[_Row] = []
     counters: dict[str, int] = {}
     with open(source, "r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
@@ -198,15 +232,8 @@ def import_certain_csv(
             )
             if not event_id:
                 raise LogFormatError(f"row {number}: empty event id")
-            cases.setdefault(case_id, []).append(
-                UncertainEvent(
-                    event_id=event_id,
-                    activities=frozenset({activity}),
-                    t_min=instant,
-                    t_max=instant,
-                )
-            )
-    return _assemble_log(cases)
+            rows.append((case_id, event_id, frozenset({activity}), instant, instant, True))
+    return _assemble_log(rows)
 
 
 def _dot_quote(text: str) -> str:

@@ -6,15 +6,24 @@ records whether the event is known to have happened at all.  A trace is
 an unordered collection of such events; the partial order between them
 is derived from the timestamp intervals, never from storage order.
 
-Timestamps are integer milliseconds since the Unix epoch.  A certain
-timestamp is represented by a degenerate interval (t_min == t_max).
+A trace holds its events as columns: ids, activity sets, determinate
+flags, and the interval ends as int64 arrays.  Readers and generators
+build traces straight from columns, and the graph constructions read
+the columns, so ``UncertainEvent`` objects are made only when a caller
+asks for ``trace.events`` (the oracle does).
+
+Timestamps are integer milliseconds since the Unix epoch, from year 1
+to year 9999 (the range the JSONL writer formats).  A certain timestamp
+is represented by a degenerate interval (t_min == t_max).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -41,32 +50,145 @@ class UncertainEvent:
 
 
 _CANONICAL_ORDER = attrgetter("t_min", "t_max", "event_id")
+_EVENT_FIELDS = attrgetter("event_id", "activities", "t_min", "t_max", "determinate")
+
+# the instants the JSONL writer can format: years 1 to 9999, UTC
+MIN_TIMESTAMP_MS = -62_135_596_800_000  # 0001-01-01T00:00:00.000Z
+MAX_TIMESTAMP_MS = 253_402_300_799_999  # 9999-12-31T23:59:59.999Z
 
 
-@dataclass(frozen=True)
 class UncertainTrace:
-    """All events recorded for one case.
+    """All events recorded for one case, held as columns.
 
-    Events are kept in the canonical order (t_min, t_max, event_id).
-    Storage order carries no meaning: the behavior of the trace is fully
-    determined by the events' timestamp intervals.
+    The columns are in the canonical order (t_min, t_max, event_id):
+    ``event_ids`` (tuple of str), ``activities`` (tuple of frozensets),
+    ``determinate`` (tuple of bool), and ``t_min``/``t_max`` as
+    read-only int64 arrays.  Storage order carries no meaning: the
+    behavior of the trace is fully determined by the events' timestamp
+    intervals.
 
-    A trace is valid by construction: building one that breaks a rule
-    of ``validate_trace`` raises InvalidTraceError with every violation,
+    There are two ways to build one: ``UncertainTrace(case_id, events)``
+    from event objects, and ``UncertainTrace.from_columns`` from one
+    sequence per attribute, which never makes an event object.  The
+    ``events`` tuple is built on first access when the trace came from
+    columns, and kept.  Equality and hashing compare the case id and
+    the columns.
+
+    A trace is valid by construction: both routes run the rules of
+    ``validate_trace`` and raise InvalidTraceError with every violation,
     so no consumer of a trace checks it again.
     """
 
-    case_id: str
-    events: tuple[UncertainEvent, ...] = field(default=())
+    __slots__ = ("case_id", "event_ids", "activities", "determinate", "t_min", "t_max", "_events")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "events", tuple(sorted(self.events, key=_CANONICAL_ORDER)))
-        violations = validate_trace(self)
+    def __init__(self, case_id: str, events: Iterable[UncertainEvent] = ()) -> None:
+        ordered = tuple(sorted(events, key=_CANONICAL_ORDER))
+        # one tuple per field, in the order _fill takes them
+        columns = zip(*map(_EVENT_FIELDS, ordered)) if ordered else ((),) * 5
+        self._fill(case_id, *columns)
+        object.__setattr__(self, "_events", ordered)
+
+    @classmethod
+    def from_columns(
+        cls,
+        case_id: str,
+        event_ids: Sequence[str],
+        activities: Sequence[Iterable[str]],
+        t_min: Sequence[int],
+        t_max: Sequence[int],
+        determinate: Sequence[bool],
+    ) -> UncertainTrace:
+        """The trace whose event k has the k-th entry of every column.
+
+        The columns may come in any order; they are sorted into the
+        canonical one.  Timestamps must be Python ``int``, as for
+        ``UncertainEvent``.
+        """
+        n = len(event_ids)
+        if not len(activities) == len(t_min) == len(t_max) == len(determinate) == n:
+            raise ValueError(f"trace {case_id!r}: columns of different lengths")
+        # the position breaks ties, so rows never compare past the id
+        rows = sorted(zip(t_min, t_max, event_ids, range(n), activities, determinate))
+        if rows:
+            t_min, t_max, event_ids, _, activities, determinate = zip(*rows)
+        trace = cls.__new__(cls)
+        # frozenset() of a frozenset is the same object
+        trace._fill(case_id, event_ids, tuple(map(frozenset, activities)), t_min, t_max, determinate)
+        object.__setattr__(trace, "_events", None)
+        return trace
+
+    def _fill(self, case_id, event_ids, activities, t_min, t_max, determinate) -> None:
+        # the columns are in canonical order; check them, then keep them
+        violations = _violations(event_ids, activities, t_min, t_max)
         if violations:
-            raise InvalidTraceError(self.case_id, violations)
+            raise InvalidTraceError(case_id, violations)
+        setter = object.__setattr__
+        setter(self, "case_id", case_id)
+        setter(self, "event_ids", tuple(event_ids))
+        setter(self, "activities", tuple(activities))
+        setter(self, "determinate", tuple(determinate))
+        bounds = np.array((t_min, t_max), dtype=np.int64)
+        bounds.flags.writeable = False
+        setter(self, "t_min", bounds[0])
+        setter(self, "t_max", bounds[1])
+
+    @property
+    def events(self) -> tuple[UncertainEvent, ...]:
+        """The events in canonical order, made on first access and kept."""
+        events = self._events
+        if events is None:
+            events = tuple(
+                map(
+                    UncertainEvent,
+                    self.event_ids,
+                    self.activities,
+                    self.t_min.tolist(),
+                    self.t_max.tolist(),
+                    self.determinate,
+                )
+            )
+            object.__setattr__(self, "_events", events)
+        return events
+
+    def _key(self) -> tuple:
+        return (
+            self.case_id,
+            self.event_ids,
+            self.activities,
+            self.determinate,
+            self.t_min.tobytes(),
+            self.t_max.tobytes(),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: UncertainTrace is immutable")
+
+    def __reduce__(self):
+        return (
+            UncertainTrace.from_columns,
+            (
+                self.case_id,
+                self.event_ids,
+                self.activities,
+                self.t_min.tolist(),
+                self.t_max.tolist(),
+                self.determinate,
+            ),
+        )
+
+    def __repr__(self) -> str:
+        return f"UncertainTrace(case_id={self.case_id!r}, events={self.events!r})"
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.event_ids)
 
     def __iter__(self) -> Iterator[UncertainEvent]:
         return iter(self.events)
@@ -99,37 +221,57 @@ class InvalidTraceError(ValueError):
         super().__init__(f"invalid trace {case_id!r}: {detail}")
 
 
+class SizeLimitError(ValueError):
+    """Raised when a trace is too large for a size-limited computation."""
+
+
 def validate_trace(trace: UncertainTrace) -> list[str]:
     """The rule every trace obeys; returns the list of violations.
 
     An empty list means the trace is valid.  Each violation names the
-    offending event id and the rule it breaks.  ``UncertainTrace`` runs
-    this when it is built and raises InvalidTraceError with the whole
-    list, so for any trace that exists the result is empty.
+    offending event id and the rule it breaks.  Both ways of building
+    an ``UncertainTrace`` run these rules and raise InvalidTraceError
+    with the whole list, so for any trace that exists the result is
+    empty.
 
     Timestamps must be Python ``int``.  ``bool`` is refused although it
     subclasses ``int``, and so are numpy integers, which the JSONL
-    writer cannot format.
+    writer cannot format.  They must also lie in the range the writer
+    can format, MIN_TIMESTAMP_MS to MAX_TIMESTAMP_MS (years 1 to 9999).
     """
+    return _violations(
+        trace.event_ids, trace.activities, trace.t_min.tolist(), trace.t_max.tolist()
+    )
+
+
+def _violations(
+    event_ids: Sequence[str],
+    activities: Sequence[frozenset[str]],
+    t_min: Sequence[int],
+    t_max: Sequence[int],
+) -> list[str]:
+    # the rules of validate_trace, over columns in canonical order;
+    # every trace built pays this loop
     violations: list[str] = []
     seen: set[str] = set()
-    for event in trace.events:
-        # every trace built pays this loop, so read each field once
-        event_id, t_min, t_max = event.event_id, event.t_min, event.t_max
+    lowest, highest = MIN_TIMESTAMP_MS, MAX_TIMESTAMP_MS
+    for event_id, labels, low, high in zip(event_ids, activities, t_min, t_max):
         if not event_id:
             violations.append("empty event id")
         elif event_id in seen:
             violations.append(f"duplicate event id {event_id}")
         else:
             seen.add(event_id)
-        if not event.activities:
+        if not labels:
             violations.append(f"event {event_id} has no activity labels")
-        if not isinstance(t_min, int) or not isinstance(t_max, int):
+        if not isinstance(low, int) or not isinstance(high, int):
             violations.append(f"event {event_id} has non-integer timestamps")
-        elif isinstance(t_min, bool) or isinstance(t_max, bool):
+        elif isinstance(low, bool) or isinstance(high, bool):
             violations.append(f"event {event_id} has bool timestamps")
-        elif t_min > t_max:
-            violations.append(f"event {event_id} has t_min {t_min} > t_max {t_max}")
+        elif low > high:
+            violations.append(f"event {event_id} has t_min {low} > t_max {high}")
+        elif low < lowest or high > highest:
+            violations.append(f"event {event_id} has timestamps outside years 1 to 9999")
     return violations
 
 
@@ -146,12 +288,10 @@ def validate_log(log: UncertainLog) -> list[str]:
         if trace.case_id in seen_cases:
             violations.append(f"duplicate case id {trace.case_id}")
         seen_cases.add(trace.case_id)
-        for event in trace.events:
-            if event.event_id in seen_events:
-                violations.append(
-                    f"event id {event.event_id} appears in more than one trace"
-                )
-            seen_events.add(event.event_id)
+        for event_id in trace.event_ids:
+            if event_id in seen_events:
+                violations.append(f"event id {event_id} appears in more than one trace")
+            seen_events.add(event_id)
     return violations
 
 

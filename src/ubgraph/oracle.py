@@ -22,7 +22,7 @@ from itertools import combinations, product
 from math import prod
 from typing import Iterator
 
-from .model import UncertainEvent, UncertainTrace, precedes
+from .model import SizeLimitError, UncertainEvent, UncertainTrace, precedes
 
 MAX_EXTENSION_EVENTS = 10
 MAX_REALIZATION_EVENTS = 8
@@ -32,10 +32,6 @@ MAX_REALIZATIONS = 1_000_000
 # happened, in what order, under which label.  It is stored as a tuple
 # of (event id, label) pairs in execution order.
 Realization = tuple[tuple[str, str], ...]
-
-
-class SizeLimitError(ValueError):
-    """Raised when a trace is too large for exhaustive enumeration."""
 
 
 def covering_relation(trace: UncertainTrace) -> frozenset[tuple[str, str]]:

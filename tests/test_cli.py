@@ -196,6 +196,20 @@ def test_udfg_too_large_trace_exits_one(tmp_path, capsys):
     assert "limited to 8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", [["graph", "--algorithm", "baseline"], ["check"]], ids=["graph-baseline", "check"]
+)
+def test_baseline_over_its_event_limit_exits_one(tmp_path, capsys, argv):
+    log_path = _generate(tmp_path, **{"--traces": "1", "--length": "4097"})
+    capsys.readouterr()
+    assert run([*argv, "--in", str(log_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: trace 'c0' has 4097 events; the baseline construction is limited to 4096\n"
+    )
+    assert run(["graph", "--in", str(log_path), "--algorithm", "sweep"]) == 0
+
+
 def test_import_csv_round_trip(tmp_path, capsys):
     source = tmp_path / "events.csv"
     source.write_text("case,activity,timestamp\n945,a,05-12-2011\n945,b,07-12-2011\n")

@@ -12,7 +12,9 @@ from ubgraph import (
     reachable,
     transitive_reduce,
 )
+from ubgraph import graph as graph_module
 from ubgraph.graph import NotADagError
+from ubgraph.oracle import SizeLimitError
 
 
 def _event(event_id, t_min, t_max, labels=("a",)):
@@ -114,3 +116,13 @@ def test_reachable(six_event_trace):
 def test_builds_are_deterministic(five_event_trace):
     assert build_sweep(five_event_trace) == build_sweep(five_event_trace)
     assert build_baseline(five_event_trace) == build_baseline(five_event_trace)
+
+
+def test_baseline_refuses_traces_over_its_limit(monkeypatch):
+    monkeypatch.setattr(graph_module, "MAX_BASELINE_EVENTS", 3)
+    at_limit = UncertainTrace("c", tuple(_event(f"e{i}", i, i) for i in range(3)))
+    assert len(build_baseline(at_limit).edges) == 2
+    over = UncertainTrace("c", tuple(_event(f"e{i}", i, i) for i in range(4)))
+    with pytest.raises(SizeLimitError, match="'c' has 4 events; .* limited to 3"):
+        build_baseline(over)
+    assert len(build_sweep(over).edges) == 3

@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import json
 import re
+from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ubgraph import (
     GenerationSpec,
+    InvalidTraceError,
     UncertainEvent,
     UncertainLog,
     UncertainTrace,
@@ -14,12 +18,98 @@ from ubgraph import (
     export_dot,
     generate_certain_log,
     import_certain_csv,
+    inject_activity_uncertainty,
     inject_indeterminacy,
     inject_time_uncertainty,
     read_log,
+    validate_log,
     write_log,
 )
 from ubgraph.logio import LogFormatError, format_timestamp, parse_timestamp
+from ubgraph.model import MAX_TIMESTAMP_MS, MIN_TIMESTAMP_MS
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MS = timedelta(milliseconds=1)
+_DAY_FIRST = re.compile(r"(\d{2})-(\d{2})-(\d{4})")
+
+
+def reference_parse_timestamp(text: str) -> int:
+    """Definitional timestamp parser: DD-MM-YYYY first, then ISO-8601 with Z as +00:00."""
+    value = text.strip()
+    match = _DAY_FIRST.fullmatch(value)
+    if match:
+        day, month, year = (int(g) for g in match.groups())
+        dt = datetime(year, month, day, tzinfo=timezone.utc)
+    else:
+        if value.endswith("Z"):
+            value = value[:-1] + "+00:00"
+        dt = datetime.fromisoformat(value)
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+    return round((dt - _EPOCH) / _MS)
+
+
+def _reference_event(line: str, number: int) -> tuple[str, UncertainEvent]:
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as err:
+        raise LogFormatError(f"line {number}: not valid JSON ({err.msg})") from err
+    if not isinstance(record, dict):
+        raise LogFormatError(f"line {number}: expected a JSON object")
+    try:
+        case_id = record["case"]
+        event_id = record["event"]
+        activities = record["activities"]
+        t_min_text = record["t_min"]
+        t_max_text = record["t_max"]
+        determinate = record.get("determinate", True)
+    except KeyError as err:
+        raise LogFormatError(f"line {number}: missing key {err.args[0]!r}") from err
+    if not isinstance(case_id, str) or not isinstance(event_id, str):
+        raise LogFormatError(f"line {number}: case and event must be strings")
+    if not isinstance(activities, list) or not all(isinstance(a, str) for a in activities):
+        raise LogFormatError(f"line {number}: activities must be a list of strings")
+    if not activities:
+        raise LogFormatError(f"line {number}: event {event_id} has no activity labels")
+    if not isinstance(determinate, bool):
+        raise LogFormatError(f"line {number}: determinate must be a boolean")
+    try:
+        t_min = reference_parse_timestamp(str(t_min_text))
+        t_max = reference_parse_timestamp(str(t_max_text))
+    except ValueError as err:
+        raise LogFormatError(f"line {number}: bad timestamp ({err})") from err
+    if t_min > t_max:
+        raise LogFormatError(f"line {number}: event {event_id} has t_min after t_max")
+    return case_id, UncertainEvent(event_id, frozenset(activities), t_min, t_max, determinate)
+
+
+def reference_read_log(path) -> UncertainLog:
+    """Definitional JSONL reader: one UncertainEvent per line, one trace per case.
+
+    The per-line reader that builds event objects and groups them in a
+    dict, checking every trace and the log as a whole.  ``read_log``
+    must give an equal log, or raise LogFormatError with the same
+    message.
+    """
+    cases: dict[str, list[UncertainEvent]] = {}
+    with open(path, "r", encoding="utf-8") as handle:
+        for number, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            case_id, event = _reference_event(line, number)
+            cases.setdefault(case_id, []).append(event)
+    traces: list[UncertainTrace] = []
+    violations: list[str] = []
+    for case_id, events in sorted(cases.items()):
+        try:
+            traces.append(UncertainTrace(case_id=case_id, events=tuple(events)))
+        except InvalidTraceError as err:
+            violations.extend(err.violations)
+    log = UncertainLog(traces=tuple(traces))
+    violations.extend(validate_log(log))
+    if violations:
+        raise LogFormatError("; ".join(violations))
+    return log
 
 
 def _random_log(seed):
@@ -279,3 +369,164 @@ def test_export_dot_escapes_quotes(tmp_path):
     export_dot(build_sweep(trace), path)
     nodes, _, _ = _parse_dot(path.read_text())
     assert nodes == {'say \\"hi\\"'}
+
+
+def test_timestamp_range_ends_round_trip(tmp_path):
+    # years below 1000 are written with four digits, so they read back
+    assert format_timestamp(MIN_TIMESTAMP_MS) == "0001-01-01T00:00:00.000Z"
+    assert format_timestamp(MAX_TIMESTAMP_MS) == "9999-12-31T23:59:59.999Z"
+    assert format_timestamp(-60_000_000_000_000) == "0068-09-03T13:20:00.000Z"
+    trace = UncertainTrace(
+        "c",
+        (
+            UncertainEvent("e1", frozenset("a"), MIN_TIMESTAMP_MS, MIN_TIMESTAMP_MS),
+            UncertainEvent("e2", frozenset("b"), -60_000_000_000_000, MAX_TIMESTAMP_MS),
+        ),
+    )
+    path = tmp_path / "log.jsonl"
+    write_log(UncertainLog((trace,)), path)
+    assert read_log(path) == UncertainLog((trace,))
+
+
+def test_read_refuses_instants_outside_the_writer_range(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    record = {
+        "case": "c",
+        "event": "e1",
+        "activities": ["a"],
+        "t_min": "0001-01-01T00:30:00+01:00",
+        "t_max": "2011-12-05T00:00:00Z",
+    }
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(LogFormatError) as caught:
+        read_log(path)
+    assert str(caught.value) == "event e1 has timestamps outside years 1 to 9999"
+
+
+_TIMESTAMP_TEXT = st.one_of(
+    st.sampled_from(
+        [
+            "2011-12-05T00:00:00.000Z", "2011-12-05T00:00:00.0005Z", "2011-12-05T00:00:00.0015Z",
+            "2011-12-05T01:00:00+01:00", "2011-12-05T00:00:00", "2011-12-05", "05-12-2011",
+            "31-02-2011", "2011-12-05Z", "9999-12-31T23:59:59.9995Z", "0001-01-01T00:30:00+01:00",
+            " 05-12-2011 ", "not a date", "",
+        ]
+    ),
+    st.text(alphabet="0123456789-:TZ+. ", max_size=26),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_TIMESTAMP_TEXT)
+def test_parse_timestamp_matches_reference(text):
+    try:
+        expected = ("ok", reference_parse_timestamp(text))
+    except ValueError as err:
+        expected = ("error", str(err))
+    try:
+        found = ("ok", parse_timestamp(text))
+    except ValueError as err:
+        found = ("error", str(err))
+    assert found == expected
+
+
+_KEYS = ["case", "event", "activities", "t_min", "t_max", "determinate"]
+_ODD_TIMESTAMPS = [
+    "2011-12-05T01:00:00+01:00", "2011-12-05T00:00:00", "05-12-2011", "2011-12-05",
+    "not a date", "31-02-2011", "", 5, None, "9999-12-31T23:59:59.9999Z",
+    "0001-01-01T00:30:00+01:00", "1970-01-01T00:00:01.000Z",
+]
+_MUTATIONS = [
+    "delete_key", "bad_timestamp", "non_string_label", "empty_activities", "backwards",
+    "duplicate_within", "duplicate_across", "blank", "not_json", "odd_value",
+]
+
+
+@st.composite
+def _jsonl_logs(draw):
+    """JSONL lines of a tie-heavy log, then up to three mutations, maybe shuffled."""
+    records = []
+    for case in range(draw(st.integers(1, 4))):
+        case_id = draw(st.sampled_from(["c", "d", "a b", 'q"'])) + str(case)
+        for k in range(draw(st.integers(1, 5))):
+            start = 1_322_006_400_000 + 1000 * draw(st.integers(0, 5))
+            record = {
+                "case": case_id,
+                "event": f"{case_id}#{k}",
+                "activities": draw(
+                    st.lists(st.sampled_from(["a", "b", "x,y", 'say "hi"']), min_size=1, max_size=3)
+                ),
+                "t_min": format_timestamp(start),
+                "t_max": format_timestamp(start + 1000 * draw(st.integers(0, 3))),
+            }
+            if draw(st.booleans()):
+                record["determinate"] = draw(st.booleans())
+            records.append(record)
+    lines = [json.dumps(record) for record in records]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(_MUTATIONS))
+        index = draw(st.integers(0, len(records) - 1))
+        record = dict(records[index])
+        if kind == "delete_key":
+            record.pop(draw(st.sampled_from(_KEYS)), None)
+        elif kind == "bad_timestamp":
+            record[draw(st.sampled_from(["t_min", "t_max"]))] = draw(st.sampled_from(_ODD_TIMESTAMPS))
+        elif kind == "non_string_label":
+            record["activities"] = ["a", draw(st.sampled_from([3, None, ["b"], True]))]
+        elif kind == "empty_activities":
+            record["activities"] = []
+        elif kind == "backwards":
+            record["t_min"], record["t_max"] = record["t_max"], "2011-11-22T00:00:00.000Z"
+        elif kind == "duplicate_within":
+            lines.append(json.dumps({**record, "t_min": "2011-11-23T00:00:00.000Z"}))
+        elif kind == "duplicate_across":
+            lines.append(json.dumps({**record, "case": "other"}))
+        elif kind == "blank":
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
+        elif kind == "not_json":
+            lines[index] = draw(st.sampled_from(["{broken", "[1, 2]", '"text"', "{}", "{} {}"]))
+        else:
+            key = draw(st.sampled_from(["case", "event", "determinate", "activities"]))
+            record[key] = draw(st.sampled_from([7, None, "yes", "", ["a"]]))
+        if kind in ("delete_key", "bad_timestamp", "non_string_label", "empty_activities",
+                    "backwards", "odd_value"):
+            lines[index] = json.dumps(record)
+    if draw(st.booleans()):
+        lines = draw(st.permutations(lines))
+    return "".join(line + "\n" for line in lines)
+
+
+def _outcome(reader, path):
+    try:
+        return ("log", reader(path))
+    except LogFormatError as err:
+        return ("error", str(err))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_jsonl_logs())
+def test_read_log_matches_reference_reader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("jsonl") / "log.jsonl"
+    path.write_text(text, encoding="utf-8")
+    assert _outcome(read_log, path) == _outcome(reference_read_log, path)
+
+
+def test_graph_path_makes_no_event_objects(tmp_path, monkeypatch):
+    log = inject_activity_uncertainty(_random_log(7), 0.3, 7)
+    path = tmp_path / "log.jsonl"
+    write_log(log, path)
+    made = []
+    original_init = UncertainEvent.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(args[0] if args else kwargs["event_id"])
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(UncertainEvent, "__init__", counting_init)
+    read = read_log(path)
+    for trace in read.traces:
+        export_dot(build_sweep(trace), tmp_path / f"{trace.case_id}.dot")
+    assert made == []
+    # built on demand afterwards, they are the events the reference reader makes
+    assert [t.events for t in read.traces] == [t.events for t in reference_read_log(path).traces]
+    assert len(made) == 2 * sum(len(trace) for trace in log.traces)

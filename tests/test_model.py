@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from ubgraph import (
     validate_log,
     validate_trace,
 )
-from ubgraph.model import InvalidTraceError
+from ubgraph.model import MAX_TIMESTAMP_MS, MIN_TIMESTAMP_MS, InvalidTraceError
 
 
 def _event(event_id, t_min, t_max, labels=("a",), determinate=True):
@@ -86,6 +88,28 @@ def test_validate_numpy_integer_timestamps():
     ]
 
 
+@pytest.mark.parametrize(
+    "t_min, t_max",
+    [
+        (MAX_TIMESTAMP_MS, MAX_TIMESTAMP_MS + 1),  # 10000-01-01T00:00:00.000Z
+        (MIN_TIMESTAMP_MS - 1, 0),  # one millisecond before year 1
+        (0, 2**70),  # beyond int64
+    ],
+    ids=["year-10000", "before-year-1", "2**70"],
+)
+def test_validate_timestamps_outside_the_writer_range(t_min, t_max):
+    # refused on purpose: the JSONL writer formats years 1 to 9999 only
+    assert _violations(_event("e1", t_min, t_max)) == [
+        "event e1 has timestamps outside years 1 to 9999"
+    ]
+
+
+def test_validate_range_ends_are_accepted():
+    trace = UncertainTrace("c", (_event("e1", MIN_TIMESTAMP_MS, MAX_TIMESTAMP_MS),))
+    assert trace.t_min.tolist() == [MIN_TIMESTAMP_MS]
+    assert trace.t_max.tolist() == [MAX_TIMESTAMP_MS]
+
+
 def test_validate_empty_trace_ok():
     assert validate_trace(UncertainTrace("c")) == []
 
@@ -97,6 +121,70 @@ def test_trace_construction_raises_with_all_violations():
         "event e1 has no activity labels",
         "event e1 has t_min 5 > t_max 1",
     ]
+
+
+def _columns(events):
+    return (
+        [e.event_id for e in events],
+        [e.activities for e in events],
+        [e.t_min for e in events],
+        [e.t_max for e in events],
+        [e.determinate for e in events],
+    )
+
+
+def test_columns_are_canonical_and_typed():
+    trace = UncertainTrace(
+        "c", (_event("b", 5, 5), _event("a", 1, 9, ("x", "y"), False), _event("c", 1, 3))
+    )
+    assert trace.event_ids == ("c", "a", "b")
+    assert trace.activities == (frozenset("a"), frozenset("xy"), frozenset("a"))
+    assert trace.determinate == (True, False, True)
+    for column, values in ((trace.t_min, [1, 1, 5]), (trace.t_max, [3, 9, 5])):
+        assert column.dtype == np.int64 and column.tolist() == values
+        assert not column.flags.writeable
+
+
+def test_from_columns_equals_the_event_route():
+    events = (_event("b", 5, 5), _event("a", 1, 9, ("x", "y"), False), _event("c", 1, 3))
+    ids, activities, t_min, t_max, determinate = _columns(events)
+    built = UncertainTrace.from_columns(
+        "c", ids, [set(a) for a in activities], t_min, t_max, determinate
+    )
+    expected = UncertainTrace("c", events)
+    assert built == expected and hash(built) == hash(expected)
+    assert built.events == expected.events
+    assert built.events is built.events  # made once, then kept
+    assert list(built) == list(expected.events) and len(built) == 3
+
+
+def test_from_columns_runs_the_same_rules():
+    events = (UncertainEvent("e1", frozenset(), 5, 1), _event("e1", 0, 0), _event("e2", True, 4))
+    with pytest.raises(InvalidTraceError) as caught:
+        UncertainTrace.from_columns("c", *_columns(events))
+    assert caught.value.violations == _violations(*events)
+
+
+def test_from_columns_refuses_columns_of_different_lengths():
+    with pytest.raises(ValueError, match="columns of different lengths"):
+        UncertainTrace.from_columns("c", ["e1", "e2"], [{"a"}], [0], [0], [True])
+
+
+def test_traces_differ_by_any_column():
+    base = UncertainTrace("c", (_event("e1", 0, 2),))
+    assert base != UncertainTrace("d", (_event("e1", 0, 2),))
+    assert base != UncertainTrace("c", (_event("e1", 0, 3),))
+    assert base != UncertainTrace("c", (_event("e1", 0, 2, ("b",)),))
+    assert base != UncertainTrace("c", (_event("e1", 0, 2, determinate=False),))
+    assert base != UncertainTrace("c", (_event("e2", 0, 2),))
+
+
+def test_trace_is_immutable_and_pickles():
+    trace = UncertainTrace("c", (_event("e1", 0, 2), _event("e2", 3, 3)))
+    with pytest.raises(AttributeError):
+        trace.case_id = "d"
+    copy = pickle.loads(pickle.dumps(trace))
+    assert copy == trace and copy.events == trace.events
 
 
 def test_validate_log_cross_trace_duplicates():
