@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from ubgraph import (
@@ -13,6 +15,7 @@ from ubgraph import (
     is_certain,
     validate_log,
 )
+from ubgraph.cli import run
 
 
 def _spec(**overrides):
@@ -111,3 +114,59 @@ def test_injections_are_deterministic():
     again = inject_time_uncertainty(log, 0.4, seed=7)
     assert once == again
     assert inject_time_uncertainty(log, 0.4, seed=8) != once
+
+
+# sha256 of `ubgraph generate` output; any change to a draw, its order,
+# a label or the writer's bytes moves one of them
+_GENERATE_SHA256 = {
+    "plain": (
+        "--traces 5 --length 12 --p-time 0.3 --seed 0",
+        "55a25c85574ce8455ef78115c904f3a7a56917de42916f55dc07686df190e345",
+    ),
+    "alphabet-30": (
+        "--traces 6 --length 40 --p-time 0.5 --p-activity 0.5 --alphabet 30 --seed 3",
+        "2a339f2708950eaec2ba53eac235f938ff44f217175d6f81d4ad3eec6971ba25",
+    ),
+    # every event already holds the whole one-label alphabet, so the
+    # pool of new labels is extended past it (with --alphabet 2 it never is)
+    "pool-extension": (
+        "--traces 4 --length 9 --p-time 0.2 --p-activity 1.0 --alphabet 1 --seed 6",
+        "8028757c3e3b68a0955114c3e9a40f653cb56197ebf67db71c41f6c23112c396",
+    ),
+    "indeterminate": (
+        "--traces 7 --length 15 --p-time 0.4 --p-indeterminate 0.6 --seed 9",
+        "2bd0a3887a7950ebbd0537195fbdc7ce7d98ae7500c6abf9d4d32bece5ce2655",
+    ),
+    # the graph-short benchmark log at seed 1
+    "graph-short": (
+        "--traces 2000 --length 50 --p-time 0.4 --p-activity 0.2 --p-indeterminate 0.1 --seed 1",
+        "ec219884132f24cd199601b93c139c1bea0dc7d1ca50989f948186c352170be0",
+    ),
+}
+
+
+def _generate_sha256(tmp_path, arguments: str) -> str:
+    out = tmp_path / "log.jsonl"
+    assert run(["generate", *arguments.split(), "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(_GENERATE_SHA256))
+def test_generate_bytes_are_pinned(tmp_path, capsys, name):
+    arguments, expected = _GENERATE_SHA256[name]
+    assert _generate_sha256(tmp_path, arguments) == expected
+
+
+def test_generate_bytes_are_pinned_for_the_udfg_benchmark_blocks(tmp_path, capsys):
+    # the udfg-mixed benchmark log at seed 1 is nine blocks of 120 traces,
+    # one per length 4..12, each generated with seed 1000 + length
+    digest = hashlib.sha256()
+    for length in range(4, 13):
+        arguments = (
+            f"--traces 120 --length {length} --p-time 0.5 --p-activity 0.3 "
+            f"--p-indeterminate 0.2 --seed {1000 + length}"
+        )
+        digest.update(_generate_sha256(tmp_path, arguments).encode())
+    assert digest.hexdigest() == (
+        "c29f02bdde575a4959b959b2ab6f29e36911cdcc5d01dfc33535c2b798c027ac"
+    )
