@@ -52,6 +52,14 @@ def activity_label(index: int) -> str:
     return f"act{index}"
 
 
+class _Singletons(dict):
+    """The label set {activity_label(index)} of each index looked up, made once."""
+
+    def __missing__(self, index: int) -> frozenset[str]:
+        labels = self[index] = frozenset({activity_label(index)})
+        return labels
+
+
 def _rng(seed: int, stage: int, trace_index: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence((seed, stage, trace_index)))
@@ -77,6 +85,7 @@ def generate_certain_log(spec: GenerationSpec) -> UncertainLog:
     """
     traces = []
     times = [(k + 1) * STRIDE_MS for k in range(spec.trace_length)]
+    singletons = _Singletons()
     for t in range(spec.n_traces):
         case_id = f"c{t}"
         rng = _rng(spec.seed, _STAGE_GENERATE, t)
@@ -85,7 +94,7 @@ def generate_certain_log(spec: GenerationSpec) -> UncertainLog:
             UncertainTrace.from_columns(
                 case_id,
                 [f"{case_id}#{k + 1}" for k in range(spec.trace_length)],
-                [frozenset({activity_label(pick)}) for pick in picks.tolist()],
+                list(map(singletons.__getitem__, picks.tolist())),
                 times,
                 times,
                 [True] * spec.trace_length,
@@ -160,6 +169,7 @@ def inject_activity_uncertainty(
     _check_probability(p)
     if extra_labels < 1:
         raise ValueError("extra_labels must be at least 1")
+    alphabet = [activity_label(j) for j in range(alphabet_size)]
     traces = []
     for t, trace in enumerate(log.traces):
         rng, chosen = _chosen(seed, _STAGE_ACTIVITY, t, trace, p)
@@ -167,11 +177,7 @@ def inject_activity_uncertainty(
         # positions in ascending order: the draws follow event order
         for i in sorted(chosen):
             labels = activities[i]
-            pool = [
-                label
-                for label in (activity_label(j) for j in range(alphabet_size))
-                if label not in labels
-            ]
+            pool = [label for label in alphabet if label not in labels]
             j = alphabet_size
             while len(pool) < extra_labels:
                 label = activity_label(j)

@@ -21,8 +21,11 @@ import json
 import re
 from datetime import datetime, timedelta, timezone
 from itertools import groupby, repeat
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from .graph import BehaviorGraph
 from .model import InvalidTraceError, UncertainLog, UncertainTrace, validate_log
@@ -38,7 +41,11 @@ class LogFormatError(ValueError):
 
 
 def format_timestamp(ms: int) -> str:
-    """Epoch milliseconds to an ISO-8601 UTC string, e.g. 2011-12-05T00:00:00.000Z."""
+    """Epoch milliseconds to an ISO-8601 UTC string, e.g. 2011-12-05T00:00:00.000Z.
+
+    The scalar formatter.  ``write_log`` formats whole columns with numpy
+    instead, and its tests hold it to this function's strings.
+    """
     dt = _EPOCH + timedelta(milliseconds=ms)
     return (
         f"{dt.year:04d}-{dt.month:02d}-{dt.day:02d}T"
@@ -71,40 +78,47 @@ def parse_timestamp(text: str) -> int:
     return round((dt - _EPOCH) / _MS)
 
 
+class _LabelsText(dict):
+    """JSON text of each activity set's sorted label list, made once per set."""
+
+    def __missing__(self, labels: frozenset[str]) -> str:
+        text = self[labels] = "[" + ", ".join(map(encode_basestring_ascii, sorted(labels))) + "]"
+        return text
+
+
+def _iso_ms(column: np.ndarray) -> list[str]:
+    """A column of epoch milliseconds as format_timestamp gives them, less the final Z."""
+    return np.datetime_as_string(column.view("datetime64[ms]"), unit="ms").tolist()
+
+
 def write_log(log: UncertainLog, destination: str | Path) -> int:
     """Write the log as JSON lines; returns the number of bytes written.
 
     Lines are ordered by (case, t_min, event id) so equal logs always
-    produce identical bytes.
+    produce identical bytes: the bytes of ``json.dumps`` with its
+    default separators, one object per line.  A log that breaks a rule
+    of ``validate_log`` would not read back as written, so it raises
+    ValueError with every violation before anything is written.
     """
-    rows = []
+    violations = validate_log(log)
+    if violations:
+        raise ValueError(f"cannot write the log: {'; '.join(violations)}")
+    labels_text = _LabelsText()
+    lines: list[str] = []
     for trace in log.traces:
-        rows.extend(
-            zip(
-                repeat(trace.case_id),
-                trace.t_min.tolist(),
-                trace.event_ids,
-                trace.activities,
-                trace.t_max.tolist(),
-                trace.determinate,
-            )
+        # case ids are unique and the traces sorted by them, so only the
+        # events of one trace need sorting; its own order is (t_min, t_max, id)
+        ids, t_min = trace.event_ids, trace.t_min.tolist()
+        order = sorted(range(len(ids)), key=lambda i: (t_min[i], ids[i]))
+        head = '{"case": ' + encode_basestring_ascii(trace.case_id) + ', "event": '
+        activities, determinate = trace.activities, trace.determinate
+        lines.extend(
+            f'{head}{encode_basestring_ascii(ids[i])}, "activities": {labels_text[activities[i]]}, '
+            f'"t_min": "{low}Z", "t_max": "{high}Z", '
+            f'"determinate": {"true" if determinate[i] else "false"}}}\n'
+            for i, low, high in zip(order, _iso_ms(trace.t_min[order]), _iso_ms(trace.t_max[order]))
         )
-    rows.sort(key=lambda row: row[:3])
-    payload = "".join(
-        json.dumps(
-            {
-                "case": case_id,
-                "event": event_id,
-                "activities": sorted(activities),
-                "t_min": format_timestamp(t_min),
-                "t_max": format_timestamp(t_max),
-                "determinate": determinate,
-            }
-        )
-        + "\n"
-        for case_id, t_min, event_id, activities, t_max, determinate in rows
-    )
-    data = payload.encode("utf-8")
+    data = "".join(lines).encode("ascii")
     Path(destination).write_bytes(data)
     return len(data)
 

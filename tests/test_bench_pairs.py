@@ -1,0 +1,78 @@
+"""The summary that tools/bench_pairs.py writes, on canned run.py output."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+DECLARED = [
+    {"name": "events_per_s", "unit": "events/s", "better": "higher", "bound": 0.25},
+    {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+]
+
+
+def _stdout(events_per_s: float, setup_s: float, sha: str = "abc") -> str:
+    run = {"run": {"workload": "w", "seed": 1, "output_sha256": sha, "backend": "numpy",
+                   "python": "3.11.7", "numpy": "2.4.6", "cpu_count": 2}}
+    metrics = {"correct": True, "attempted": 10, "failed": 0, "metrics": {
+        "events_per_s": {"value": events_per_s, "unit": "events/s"},
+        "setup_s": {"value": setup_s, "unit": "s"},
+    }}
+    return "\n".join([json.dumps(run), json.dumps(metrics)]) + "\n"
+
+
+def _side(events_per_s, setup_s, sha="abc"):
+    record, metrics = bench_pairs.parse_run(_stdout(events_per_s, setup_s, sha))
+    return {"record": record, "metrics": metrics}
+
+
+def test_parse_run_reads_the_record_and_the_metric_values():
+    record, metrics = bench_pairs.parse_run("noise\n" + _stdout(100.0, 2.5))
+    assert record["output_sha256"] == "abc"
+    assert metrics == {"events_per_s": 100.0, "setup_s": 2.5}
+    with pytest.raises(ValueError):
+        bench_pairs.parse_run("no json here\n")
+
+
+def test_summarise_counts_wins_ties_and_spreads():
+    pairs = [
+        {"seed": 1, "parent": _side(100, 4.0), "change": _side(120, 2.0)},
+        {"seed": 2, "parent": _side(110, 3.0), "change": _side(110, 3.5)},
+        {"seed": 3, "parent": _side(90, 5.0), "change": _side(80, 1.0)},
+        {"seed": 4, "parent": _side(130, 4.5), "change": _side(140, 2.5)},
+    ]
+    entry = bench_pairs.summarise(pairs, DECLARED)
+    assert entry["seeds"] == [1, 2, 3, 4]
+    assert entry["pairs"] == 4 and entry["failed_runs"] == 0
+    assert entry["output_sha256_equal_per_seed"] is True
+    rate = entry["metrics"]["events_per_s"]
+    assert (rate["change_wins"], rate["ties"]) == (2, 1)
+    # linear percentiles of [90, 100, 110, 130]: the same as numpy's default
+    assert rate["parent"] == {"median": 105.0, "q1": 97.5, "q3": 115.0}
+    assert rate["change"]["median"] == 115.0
+    assert rate["change_over_parent"] == round(115 / 105, 4)
+    assert rate["parent_runs"] == [100, 110, 90, 130]
+    setup = entry["metrics"]["setup_s"]
+    assert (setup["change_wins"], setup["ties"]) == (3, 0)
+    assert setup["better"] == "lower" and setup["bound"] == 0.25
+
+
+def test_summarise_leaves_failed_runs_out_of_the_pairs():
+    pairs = [
+        {"seed": 1, "parent": _side(100, 4.0), "change": None},
+        {"seed": 2, "parent": _side(100, 4.0), "change": _side(90, 3.0, "other")},
+    ]
+    entry = bench_pairs.summarise(pairs, DECLARED)
+    assert entry["failed_runs"] == 1
+    assert entry["output_sha256_equal_per_seed"] is False
+    rate = entry["metrics"]["events_per_s"]
+    assert (rate["change_wins"], rate["ties"]) == (0, 0)
+    assert rate["parent_runs"] == [100, 100] and rate["change_runs"] == [90]

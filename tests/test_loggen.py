@@ -152,12 +152,12 @@ def _generate_sha256(tmp_path, arguments: str) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(_GENERATE_SHA256))
-def test_generate_bytes_are_pinned(tmp_path, capsys, name):
+def test_generate_bytes_are_pinned(tmp_path, name):
     arguments, expected = _GENERATE_SHA256[name]
     assert _generate_sha256(tmp_path, arguments) == expected
 
 
-def test_generate_bytes_are_pinned_for_the_udfg_benchmark_blocks(tmp_path, capsys):
+def test_generate_bytes_are_pinned_for_the_udfg_benchmark_blocks(tmp_path):
     # the udfg-mixed benchmark log at seed 1 is nine blocks of 120 traces,
     # one per length 4..12, each generated with seed 1000 + length
     digest = hashlib.sha256()

@@ -3,7 +3,10 @@ from __future__ import annotations
 import json
 import re
 from datetime import datetime, timedelta, timezone
+from itertools import repeat
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +28,7 @@ from ubgraph import (
     validate_log,
     write_log,
 )
-from ubgraph.logio import LogFormatError, format_timestamp, parse_timestamp
+from ubgraph.logio import LogFormatError, _iso_ms, format_timestamp, parse_timestamp
 from ubgraph.model import MAX_TIMESTAMP_MS, MIN_TIMESTAMP_MS
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -110,6 +113,45 @@ def reference_read_log(path) -> UncertainLog:
     if violations:
         raise LogFormatError("; ".join(violations))
     return log
+
+
+def reference_write_log(log: UncertainLog, destination) -> int:
+    """Definitional JSONL writer: one ``json.dumps`` per event, one global sort.
+
+    Rows are sorted by (case, t_min, event id) and timestamps go through
+    the scalar ``format_timestamp``.  ``write_log`` must write the same
+    bytes for every valid log.
+    """
+    rows = []
+    for trace in log.traces:
+        rows.extend(
+            zip(
+                repeat(trace.case_id),
+                trace.t_min.tolist(),
+                trace.event_ids,
+                trace.activities,
+                trace.t_max.tolist(),
+                trace.determinate,
+            )
+        )
+    rows.sort(key=lambda row: row[:3])
+    payload = "".join(
+        json.dumps(
+            {
+                "case": case_id,
+                "event": event_id,
+                "activities": sorted(activities),
+                "t_min": format_timestamp(t_min),
+                "t_max": format_timestamp(t_max),
+                "determinate": determinate,
+            }
+        )
+        + "\n"
+        for case_id, t_min, event_id, activities, t_max, determinate in rows
+    )
+    data = payload.encode("utf-8")
+    Path(destination).write_bytes(data)
+    return len(data)
 
 
 def _random_log(seed):
@@ -530,3 +572,102 @@ def test_graph_path_makes_no_event_objects(tmp_path, monkeypatch):
     # built on demand afterwards, they are the events the reference reader makes
     assert [t.events for t in read.traces] == [t.events for t in reference_read_log(path).traces]
     assert len(made) == 2 * sum(len(trace) for trace in log.traces)
+
+
+# characters that JSON must escape or that ensure_ascii writes as \\u escapes
+_AWKWARD_CHARACTERS = st.one_of(
+    st.sampled_from(['"', "\\", ",", " ", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "名", "\U0001f600"]),
+    st.characters(codec="utf-8"),
+)
+_AWKWARD_TEXT = st.text(_AWKWARD_CHARACTERS, max_size=6)
+_INSTANTS = st.one_of(
+    st.sampled_from([MIN_TIMESTAMP_MS, MAX_TIMESTAMP_MS, -1, 0, 1, -60_000_000_000_000]),
+    st.integers(MIN_TIMESTAMP_MS, MAX_TIMESTAMP_MS),
+    # tie-heavy: a handful of instants a second apart, before and after the epoch
+    st.integers(-3, 3).map(lambda k: 1000 * k),
+)
+
+
+@st.composite
+def _valid_logs(draw):
+    """Valid logs: unique case ids, event ids unique across the log, awkward text."""
+    case_ids = draw(st.lists(_AWKWARD_TEXT, max_size=4, unique=True))
+    event_ids = iter(
+        draw(st.lists(st.text(_AWKWARD_CHARACTERS, min_size=1, max_size=6), min_size=12, max_size=12, unique=True))
+    )
+    traces = []
+    for case_id in case_ids:
+        size = draw(st.integers(0, 3))
+        t_min, t_max = [], []
+        for _ in range(size):
+            low = draw(_INSTANTS)
+            high = draw(
+                st.one_of(
+                    st.just(low),
+                    _INSTANTS.map(lambda v, low=low: max(v, low)),
+                    st.integers(0, 2000).map(lambda w, low=low: min(low + w, MAX_TIMESTAMP_MS)),
+                )
+            )
+            t_min.append(low)
+            t_max.append(high)
+        traces.append(
+            UncertainTrace.from_columns(
+                case_id,
+                [next(event_ids) for _ in range(size)],
+                [draw(st.frozensets(_AWKWARD_TEXT, min_size=1, max_size=3)) for _ in range(size)],
+                t_min,
+                t_max,
+                [draw(st.booleans()) for _ in range(size)],
+            )
+        )
+    return UncertainLog(traces=tuple(traces))
+
+
+@settings(max_examples=250, deadline=None)
+@given(log=_valid_logs())
+def test_write_log_matches_reference_writer(tmp_path_factory, log):
+    folder = tmp_path_factory.mktemp("written")
+    size = write_log(log, folder / "log.jsonl")
+    expected_size = reference_write_log(log, folder / "reference.jsonl")
+    assert (folder / "log.jsonl").read_bytes() == (folder / "reference.jsonl").read_bytes()
+    assert size == expected_size
+    assert read_log(folder / "log.jsonl") == UncertainLog(tuple(t for t in log.traces if len(t)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_INSTANTS, max_size=50))
+def test_column_timestamps_match_format_timestamp(instants):
+    column = np.array(instants, dtype=np.int64)
+    assert [text + "Z" for text in _iso_ms(column)] == list(map(format_timestamp, instants))
+
+
+def test_write_refuses_duplicate_case_ids(tmp_path):
+    log = UncertainLog(
+        (
+            UncertainTrace.from_columns("c", ["e1"], [{"a"}], [0], [0], [True]),
+            UncertainTrace.from_columns("c", ["e2"], [{"b"}], [5], [5], [True]),
+        )
+    )
+    path = tmp_path / "log.jsonl"
+    path.write_text("untouched\n")
+    with pytest.raises(ValueError) as caught:
+        write_log(log, path)
+    assert str(caught.value) == "cannot write the log: duplicate case id c"
+    assert path.read_text() == "untouched\n"
+
+
+def test_write_refuses_an_event_id_in_two_traces(tmp_path):
+    log = UncertainLog(
+        (
+            UncertainTrace.from_columns("c", ["e1", "e2"], [{"a"}, {"b"}], [0, 1], [0, 1], [True, True]),
+            UncertainTrace.from_columns("d", ["e2", "e1"], [{"a"}, {"b"}], [0, 1], [0, 1], [True, True]),
+        )
+    )
+    path = tmp_path / "log.jsonl"
+    with pytest.raises(ValueError) as caught:
+        write_log(log, path)
+    assert str(caught.value) == (
+        "cannot write the log: event id e2 appears in more than one trace; "
+        "event id e1 appears in more than one trace"
+    )
+    assert not path.exists()
