@@ -13,12 +13,10 @@ from .model import (
 )
 from .graph import (
     BehaviorGraph,
-    NotADagError,
     backend_name,
     build_baseline,
     build_sweep,
     reachable,
-    transitive_reduce,
 )
 from .oracle import (
     SizeLimitError,

@@ -28,8 +28,6 @@ from .loggen import (
 from .logio import export_dot, import_certain_csv, read_log, write_log
 from .oracle import covering_relation, udfg_bounds_log
 
-_BUILDERS = {"baseline": build_baseline, "sweep": build_sweep}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -51,15 +49,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     graph = commands.add_parser("graph", help="build behavior graphs from a log")
     graph.add_argument("--in", dest="input", required=True)
-    graph.add_argument("--algorithm", choices=sorted(_BUILDERS), required=True)
+    graph.add_argument("--algorithm", choices=sorted(bench_mod.ALGORITHMS), required=True)
     graph.add_argument("--dot", help="directory for one DOT file per trace")
     graph.set_defaults(handler=_cmd_graph)
 
     check = commands.add_parser("check", help="verify the two constructions agree")
     check.add_argument("--in", dest="input", required=True)
     check.add_argument("--oracle", action="store_true",
-                       help="also compare against brute-force enumeration")
-    check.add_argument("--max-oracle-events", type=int, default=8)
+                       help="also compare against covering_relation, which evaluates "
+                       "the definition directly in cubic time")
+    check.add_argument("--max-oracle-events", type=int, default=8,
+                       help="run the oracle only on traces of at most this many "
+                       "events, bounding its cubic cost (default 8)")
     check.set_defaults(handler=_cmd_check)
 
     udfg = commands.add_parser("udfg", help="directly-follows bounds of a log")
@@ -129,7 +130,7 @@ def _dot_names(case_ids: Sequence[str]) -> list[str]:
 
 def _cmd_graph(args: argparse.Namespace) -> int:
     log = read_log(args.input)
-    build = _BUILDERS[args.algorithm]
+    build = bench_mod.ALGORITHMS[args.algorithm]
     graphs = [build(trace) for trace in log.traces]
     if args.dot:
         names = _dot_names([graph.case_id for graph in graphs])
@@ -157,8 +158,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
             expected = covering_relation(trace)
             if baseline.edges != expected:
                 print(
-                    f"case {trace.case_id!r}: constructions disagree with the "
-                    f"enumeration oracle",
+                    f"case {trace.case_id!r}: constructions disagree with "
+                    f"covering_relation",
                     file=sys.stderr,
                 )
                 return 2

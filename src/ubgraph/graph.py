@@ -10,7 +10,9 @@ acyclic.
 Two constructions are provided with identical output:
 
 * ``build_baseline`` materializes the full precedence relation and then
-  reduces it (cubic in the number of events).  It is the reference.
+  reduces it with ``closure_reduce`` (cubic in the number of events).
+  It is the reference.  The relation is acyclic by construction, so
+  there is no cycle to handle, and no reduction of arbitrary graphs.
 * ``build_sweep`` reads the reduced edges straight off the events in
   start order: ``v -> w`` is an edge exactly when
   ``t_max[v] < t_min[w] <= M(v)``, where ``M(v)`` is the least
@@ -20,15 +22,16 @@ Two constructions are provided with identical output:
 
 Both read the trace's columns (the ``t_min``/``t_max`` int64 arrays,
 ids, activity sets and flags), never ``trace.events``, and neither
-checks its input: an ``UncertainTrace`` is valid by construction.  The array work is plain numpy.  Its matrix kernels avoid
-matrix products, so no BLAS thread pool is involved and timed sections
-stay single-threaded.
+checks its input: an ``UncertainTrace`` is valid by construction.  The
+array work is plain numpy.  Its matrix kernels avoid matrix products,
+so no BLAS thread pool is involved and timed sections stay
+single-threaded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -36,10 +39,6 @@ from .model import SizeLimitError, UncertainTrace
 
 # 16 MB per dense n x n matrix at this size; criterion 4 goes up to 2048
 MAX_BASELINE_EVENTS = 4096
-
-
-class NotADagError(ValueError):
-    """Raised when a graph operation needs acyclic input but got a cycle."""
 
 
 @dataclass(frozen=True)
@@ -73,12 +72,13 @@ def _assemble(trace: UncertainTrace, src: np.ndarray, dst: np.ndarray) -> Behavi
     )
 
 
-def closure_reduce(adj: np.ndarray) -> tuple[bool, np.ndarray]:
-    """Transitive closure plus transitive reduction of a relation matrix.
+def closure_reduce(adj: np.ndarray) -> np.ndarray:
+    """Transitive reduction of an acyclic relation matrix, via its closure.
 
-    Returns (cyclic, reduced).  When ``cyclic`` is True the input admits
-    a cycle, the reduction is undefined and ``reduced`` is all False.
-    Loops over the n pivots with boolean row operations.
+    Loops over the n pivots with boolean row operations.  On a cyclic
+    input the result is meaningless.  A trace's precedence relation
+    ``t_max[v] < t_min[w]`` is never cyclic: every event has
+    ``t_min <= t_max``, so the relation is a strict order.
     """
     n = adj.shape[0]
     reach = adj.copy()
@@ -86,15 +86,13 @@ def closure_reduce(adj: np.ndarray) -> tuple[bool, np.ndarray]:
         src = reach[:, k]
         if src.any():
             reach[src] |= reach[k]
-    if bool(reach.diagonal().any()):
-        return True, np.zeros((n, n), dtype=np.bool_)
     # two-hop pairs: shadow[i, j] iff some k has reach[i, k] and reach[k, j]
     shadow = np.zeros_like(reach)
     for k in range(n):
         src = reach[:, k]
         if src.any():
             shadow[src] |= reach[k]
-    return False, reach & ~shadow
+    return reach & ~shadow
 
 
 def build_baseline(trace: UncertainTrace) -> BehaviorGraph:
@@ -112,9 +110,7 @@ def build_baseline(trace: UncertainTrace) -> BehaviorGraph:
             f"construction is limited to {MAX_BASELINE_EVENTS}"
         )
     t_min, t_max = trace.t_min, trace.t_max
-    cyclic, reduced = closure_reduce(t_max[:, None] < t_min[None, :])
-    if cyclic:
-        raise NotADagError("precedence relation is not a DAG")
+    reduced = closure_reduce(t_max[:, None] < t_min[None, :])
     return _assemble(trace, *np.nonzero(reduced))
 
 
@@ -140,32 +136,6 @@ def build_sweep(trace: UncertainTrace) -> BehaviorGraph:
     # dst runs lo[v], lo[v] + 1, ..., hi[v] - 1 within the block of each v
     dst = np.arange(len(src)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
     return _assemble(trace, src, dst)
-
-
-def transitive_reduce(
-    vertices: Iterable[Hashable], edges: Iterable[tuple[Hashable, Hashable]]
-) -> frozenset[tuple[Hashable, Hashable]]:
-    """Transitive reduction of an arbitrary finite DAG.
-
-    Keeps exactly the edges (v, w) for which no other path from v to w
-    exists; for a DAG this minimal subrelation is unique.  Raises
-    NotADagError when the input contains a cycle (a self-loop counts).
-    Edges must mention known vertices.
-    """
-    order = list(dict.fromkeys(vertices))
-    position = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    adjacency = np.zeros((n, n), dtype=np.bool_)
-    for v, w in edges:
-        if v not in position or w not in position:
-            raise ValueError(f"edge ({v!r}, {w!r}) mentions an unknown vertex")
-        adjacency[position[v], position[w]] = True
-    cyclic, reduced = closure_reduce(adjacency)
-    if cyclic:
-        raise NotADagError("input graph is not a DAG")
-    rows, cols = np.nonzero(reduced)
-    get = order.__getitem__
-    return frozenset(zip(map(get, rows.tolist()), map(get, cols.tolist())))
 
 
 def reachable(graph: BehaviorGraph, source: str, target: str) -> bool:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .model import UncertainLog, UncertainTrace
 
+# the spacing of a generated trace's events, in ms
 STRIDE_MS = 1000
 
 # stage tags keep the substreams of the four randomized steps disjoint
@@ -129,17 +130,15 @@ def _rebuild(
     )
 
 
-def inject_time_uncertainty(
-    log: UncertainLog, p: float, seed: int, stride: int = STRIDE_MS
-) -> UncertainLog:
+def inject_time_uncertainty(log: UncertainLog, p: float, seed: int) -> UncertainLog:
     """Widen the timestamps of floor(p * length) events per trace.
 
-    A chosen event at instant t gets the interval [t - 1.5 * stride,
-    t + 1.5 * stride], guaranteeing overlap with both neighbors of an
-    evenly strided trace.  Other attributes are untouched.
+    A chosen event at instant t gets the interval [t - 1.5 * STRIDE_MS,
+    t + 1.5 * STRIDE_MS], guaranteeing overlap with both neighbors in a
+    generated trace.  Other attributes are untouched.
     """
     _check_probability(p)
-    half_width = int(1.5 * stride)
+    half_width = int(1.5 * STRIDE_MS)
     traces = []
     for t, trace in enumerate(log.traces):
         _, chosen = _chosen(seed, _STAGE_TIME, t, trace, p)
@@ -154,21 +153,15 @@ def inject_time_uncertainty(
 
 
 def inject_activity_uncertainty(
-    log: UncertainLog,
-    p: float,
-    seed: int,
-    extra_labels: int = 1,
-    alphabet_size: int = 26,
+    log: UncertainLog, p: float, seed: int, alphabet_size: int = 26
 ) -> UncertainLog:
-    """Add ``extra_labels`` distinct new labels to chosen events.
+    """Add one new label to each of floor(p * length) events per trace.
 
-    floor(p * length) events per trace are chosen; each gains labels it
-    did not already carry, drawn uniformly from the alphabet (extended
-    past ``alphabet_size`` if an event already holds most of it).
+    The label is one the event did not already carry, drawn uniformly
+    from the alphabet (extended past ``alphabet_size`` if the event
+    already holds all of it).
     """
     _check_probability(p)
-    if extra_labels < 1:
-        raise ValueError("extra_labels must be at least 1")
     alphabet = [activity_label(j) for j in range(alphabet_size)]
     traces = []
     for t, trace in enumerate(log.traces):
@@ -179,13 +172,13 @@ def inject_activity_uncertainty(
             labels = activities[i]
             pool = [label for label in alphabet if label not in labels]
             j = alphabet_size
-            while len(pool) < extra_labels:
+            while not pool:
                 label = activity_label(j)
                 if label not in labels:
                     pool.append(label)
                 j += 1
-            added = rng.choice(len(pool), size=extra_labels, replace=False)
-            activities[i] = labels | {pool[int(a)] for a in added}
+            (added,) = rng.choice(len(pool), size=1, replace=False)
+            activities[i] = labels | {pool[added]}
         traces.append(_rebuild(trace, activities=activities))
     return UncertainLog(traces=tuple(traces))
 

@@ -34,7 +34,7 @@ class UncertainEvent:
     singleton for a certain label).  ``t_min``/``t_max`` bound the true
     timestamp, in epoch milliseconds; they must be Python ``int``, not
     ``bool`` and not a numpy integer.  ``determinate`` is False when the
-    event may not have happened at all.
+    event may not have happened at all; it must be a Python ``bool``.
     """
 
     event_id: str
@@ -119,7 +119,7 @@ class UncertainTrace:
 
     def _fill(self, case_id, event_ids, activities, t_min, t_max, determinate) -> None:
         # the columns are in canonical order; check them, then keep them
-        violations = _violations(event_ids, activities, t_min, t_max)
+        violations = _violations(event_ids, activities, t_min, t_max, determinate)
         if violations:
             raise InvalidTraceError(case_id, violations)
         setter = object.__setattr__
@@ -238,9 +238,16 @@ def validate_trace(trace: UncertainTrace) -> list[str]:
     subclasses ``int``, and so are numpy integers, which the JSONL
     writer cannot format.  They must also lie in the range the writer
     can format, MIN_TIMESTAMP_MS to MAX_TIMESTAMP_MS (years 1 to 9999).
+    The determinate flag must be a Python ``bool``: ``numpy.bool_``,
+    ``None``, ``0``/``1`` and strings are refused, since the JSONL writer
+    would write any truthy value as ``true``.
     """
     return _violations(
-        trace.event_ids, trace.activities, trace.t_min.tolist(), trace.t_max.tolist()
+        trace.event_ids,
+        trace.activities,
+        trace.t_min.tolist(),
+        trace.t_max.tolist(),
+        trace.determinate,
     )
 
 
@@ -249,13 +256,15 @@ def _violations(
     activities: Sequence[frozenset[str]],
     t_min: Sequence[int],
     t_max: Sequence[int],
+    determinate: Sequence[bool],
 ) -> list[str]:
     # the rules of validate_trace, over columns in canonical order;
     # every trace built pays this loop
     violations: list[str] = []
     seen: set[str] = set()
     lowest, highest = MIN_TIMESTAMP_MS, MAX_TIMESTAMP_MS
-    for event_id, labels, low, high in zip(event_ids, activities, t_min, t_max):
+    rows = zip(event_ids, activities, t_min, t_max, determinate)
+    for event_id, labels, low, high, flag in rows:
         if not event_id:
             violations.append("empty event id")
         elif event_id in seen:
@@ -272,6 +281,8 @@ def _violations(
             violations.append(f"event {event_id} has t_min {low} > t_max {high}")
         elif low < lowest or high > highest:
             violations.append(f"event {event_id} has timestamps outside years 1 to 9999")
+        if flag is not True and flag is not False:
+            violations.append(f"event {event_id} has a non-bool determinate flag")
     return violations
 
 

@@ -1,18 +1,21 @@
-"""Brute-force reference semantics for small traces.
+"""Reference semantics for small traces.
 
-Everything here enumerates: orderings, realizations, directly-follows
-counts.  The implementations are deliberately simple and kept separate
-from the graph kernels so the two routes (enumeration vs construction)
-can be checked against each other.  Size guards stop the factorial
-blowup early; costs beyond them are not supported.  Input is taken as
-it comes: an ``UncertainTrace`` is valid by construction, so nothing
-here checks it again.
+``covering_relation`` evaluates the behavior graph's definition
+directly, in cubic time.  Everything else enumerates: orderings,
+realizations, directly-follows counts.  The implementations are
+deliberately simple and kept separate from the graph kernels so the two
+routes (definition vs construction) can be checked against each other.
+Size guards stop the factorial blowup early; costs beyond them are not
+supported.  Input is taken as it comes: an ``UncertainTrace`` is valid
+by construction, so nothing here checks it again.
 
-The directly-follows bounds are exact: ``udfg_bounds_trace`` walks the
-realizations once, lazily, and folds each one's pair counts into
-running per-pair bounds, so no realization set is held in memory.  It
-refuses exactly the traces ``enumerate_realizations`` refuses (more
-than MAX_REALIZATION_EVENTS events, or more than MAX_REALIZATIONS
+There is one realization walk, ``_realizations``: it applies the size
+guard, then visits each (dropped subset, linear extension) once.
+``enumerate_realizations`` collects the label choices over it into a
+set.  ``udfg_bounds_trace`` folds each realization's pair counts into
+running per-pair bounds instead, so no realization set is held in
+memory; the bounds are exact.  Both refuse the same traces (more than
+MAX_REALIZATION_EVENTS events, or more than MAX_REALIZATIONS
 realizations by the count bound).
 """
 
@@ -111,14 +114,19 @@ def possible_immediate_successor(trace: UncertainTrace, v: str, w: str) -> bool:
     return False
 
 
-def _extensions_within_budget(trace: UncertainTrace) -> set[tuple[str, ...]]:
-    """Refuse a trace too large to enumerate; else its linear extensions.
+def _realizations(trace: UncertainTrace) -> Iterator[tuple[tuple[str, ...], list[list[str]]]]:
+    """Every kept id sequence of the trace, with each event's sorted labels.
 
-    The refusal rule of every realization walk: more than
-    MAX_REALIZATION_EVENTS events, or a realization count bound
-    (labelings x inclusion choices x orders) above MAX_REALIZATIONS,
-    raises SizeLimitError.  The extensions of the full trace are
-    computed for the bound and returned for reuse.
+    The one realization walk.  It first refuses a trace too large to
+    enumerate: more than MAX_REALIZATION_EVENTS events, or a realization
+    count bound (labelings x inclusion choices x orders) above
+    MAX_REALIZATIONS, raises SizeLimitError on the first ``next()``.
+    Then, for each subset of indeterminate events to drop and each
+    linear extension of the events kept, it yields the event ids in
+    execution order and, per position, that event's labels sorted.  The
+    realizations are the label choices over each yielded sequence.  The
+    full trace's extensions, computed for the bound, serve the empty
+    drop.
     """
     events = trace.events
     if len(events) > MAX_REALIZATION_EVENTS:
@@ -127,10 +135,10 @@ def _extensions_within_budget(trace: UncertainTrace) -> set[tuple[str, ...]]:
             f"enumeration is limited to {MAX_REALIZATION_EVENTS}"
         )
     extensions_all = _extensions(events)
-    indeterminate = sum(1 for e in events if not e.determinate)
+    indeterminate = [e for e in events if not e.determinate]
     bound = (
         prod(len(e.activities) for e in events)
-        * 2 ** indeterminate
+        * 2 ** len(indeterminate)
         * max(len(extensions_all), 1)
     )
     if bound > MAX_REALIZATIONS:
@@ -138,46 +146,6 @@ def _extensions_within_budget(trace: UncertainTrace) -> set[tuple[str, ...]]:
             f"trace {trace.case_id!r} admits up to {bound} realizations; "
             f"enumeration is limited to {MAX_REALIZATIONS}"
         )
-    return extensions_all
-
-
-def enumerate_realizations(trace: UncertainTrace) -> frozenset[Realization]:
-    """Every (inclusion, order, labeling) reading the trace allows.
-
-    Determinate events appear in every realization; indeterminate ones
-    in a subset.  Refuses traces beyond MAX_REALIZATION_EVENTS events or
-    whose realization count bound exceeds MAX_REALIZATIONS.
-    """
-    _extensions_within_budget(trace)
-    events = trace.events
-    indeterminate = [e for e in events if not e.determinate]
-    determinate = tuple(e for e in events if e.determinate)
-    labels = {e.event_id: sorted(e.activities) for e in events}
-    realizations: set[Realization] = set()
-    for k in range(len(indeterminate) + 1):
-        for dropped in combinations(indeterminate, k):
-            kept = tuple(e for e in events if e.determinate or e not in dropped)
-            for sequence in _extensions(kept):
-                for chosen in product(*(labels[event_id] for event_id in sequence)):
-                    realizations.add(tuple(zip(sequence, chosen)))
-    # sanity: every realization contains each determinate event exactly once
-    required = {e.event_id for e in determinate}
-    for realization in realizations:
-        ids = [event_id for event_id, _ in realization]
-        assert required <= set(ids) and len(ids) == len(set(ids))
-    return frozenset(realizations)
-
-
-def _realization_labels(trace: UncertainTrace) -> Iterator[tuple[str, ...]]:
-    """The label sequence of every realization, one at a time.
-
-    Walks (kept subset, linear extension, label choice) lazily, under
-    the same refusal rule as enumerate_realizations.  Each realization
-    is yielded once; only its labels, in execution order, are kept.
-    """
-    extensions_all = _extensions_within_budget(trace)
-    events = trace.events
-    indeterminate = [e for e in events if not e.determinate]
     required = {e.event_id for e in events if e.determinate}
     labels = {e.event_id: sorted(e.activities) for e in events}
     for k in range(len(indeterminate) + 1):
@@ -190,7 +158,21 @@ def _realization_labels(trace: UncertainTrace) -> Iterator[tuple[str, ...]]:
             for sequence in sequences:
                 # sanity: each determinate event appears exactly once
                 assert required <= set(sequence) and len(sequence) == len(set(sequence))
-                yield from product(*(labels[event_id] for event_id in sequence))
+                yield sequence, [labels[event_id] for event_id in sequence]
+
+
+def enumerate_realizations(trace: UncertainTrace) -> frozenset[Realization]:
+    """Every (inclusion, order, labeling) reading the trace allows.
+
+    Determinate events appear in every realization; indeterminate ones
+    in a subset.  Refuses traces beyond MAX_REALIZATION_EVENTS events or
+    whose realization count bound exceeds MAX_REALIZATIONS.
+    """
+    return frozenset(
+        tuple(zip(sequence, chosen))
+        for sequence, labels in _realizations(trace)
+        for chosen in product(*labels)
+    )
 
 
 def udfg_bounds_trace(trace: UncertainTrace) -> dict[tuple[str, str], tuple[int, int]]:
@@ -209,21 +191,22 @@ def udfg_bounds_trace(trace: UncertainTrace) -> dict[tuple[str, str], tuple[int,
     low: dict[tuple[str, str], int] = {}
     present: dict[tuple[str, str], int] = {}
     total = 0
-    for sequence in _realization_labels(trace):
-        total += 1
-        counts: dict[tuple[str, str], int] = {}
-        for pair in zip(sequence, sequence[1:]):
-            counts[pair] = counts.get(pair, 0) + 1
-        for pair, count in counts.items():
-            if pair in high:
-                if count > high[pair]:
-                    high[pair] = count
-                elif count < low[pair]:
-                    low[pair] = count
-                present[pair] += 1
-            else:
-                high[pair] = low[pair] = count
-                present[pair] = 1
+    for _, labels in _realizations(trace):
+        for sequence in product(*labels):
+            total += 1
+            counts: dict[tuple[str, str], int] = {}
+            for pair in zip(sequence, sequence[1:]):
+                counts[pair] = counts.get(pair, 0) + 1
+            for pair, count in counts.items():
+                if pair in high:
+                    if count > high[pair]:
+                        high[pair] = count
+                    elif count < low[pair]:
+                        low[pair] = count
+                    present[pair] += 1
+                else:
+                    high[pair] = low[pair] = count
+                    present[pair] = 1
     return {
         pair: (low[pair] if present[pair] == total else 0, high[pair])
         for pair in high

@@ -38,8 +38,7 @@ def dags(draw, max_nodes: int = 8):
 @settings(max_examples=200, deadline=None)
 @given(dags())
 def test_numpy_reduction_against_reference(adj):
-    cyclic, reduced = closure_reduce(adj)
-    assert not cyclic
+    reduced = closure_reduce(adj)
     reach = _python_reachability(adj)
     # reduced edge: reachable directly but through no intermediate vertex
     n = adj.shape[0]

@@ -134,6 +134,14 @@ def test_check_disagreement_exits_two_naming_the_case(tmp_path, capsys, monkeypa
     assert "c0" not in err
 
 
+def test_check_oracle_disagreement_exits_two_naming_the_case(tmp_path, capsys, monkeypatch):
+    log_path = _generate(tmp_path, **{"--traces": "2"})
+    monkeypatch.setattr(cli, "covering_relation", lambda trace: frozenset())
+    assert run(["check", "--in", str(log_path), "--oracle"]) == 2
+    err = capsys.readouterr().err
+    assert err == "case 'c0': constructions disagree with covering_relation\n"
+
+
 def test_missing_input_file_is_validation_error(tmp_path, capsys):
     code = run(["graph", "--in", str(tmp_path / "absent.jsonl"), "--algorithm", "sweep"])
     assert code == 1
@@ -208,6 +216,77 @@ def test_baseline_over_its_event_limit_exits_one(tmp_path, capsys, argv):
         "error: trace 'c0' has 4097 events; the baseline construction is limited to 4096\n"
     )
     assert run(["graph", "--in", str(log_path), "--algorithm", "sweep"]) == 0
+
+
+def _drop_key(records):
+    del records[0]["t_max"]
+
+
+def _month_13(records):
+    records[0]["t_min"] = records[0]["t_min"].replace("-01-", "-13-", 1)
+
+
+def _id_in_two_cases(records):
+    other = next(record for record in records if record["case"] != records[0]["case"])
+    other["event"] = records[0]["event"]
+
+
+def _comma_quote_label(records):
+    records[0]["activities"] = ['x,"y']
+
+
+def _colliding_case_names(records):
+    names = {"c0": "a/b", "c1": "a:b"}
+    for record in records:
+        record["case"] = names.get(record["case"], record["case"])
+
+
+def _year_10000(records):
+    records[0]["t_max"] = "10000-01-01T00:00:00.000Z"
+
+
+def _determinate_yes(records):
+    records[0]["determinate"] = "yes"
+
+
+_LOG_MUTATIONS = {
+    "generated": None,
+    "missing-key": _drop_key,
+    "month-13": _month_13,
+    "id-in-two-cases": _id_in_two_cases,
+    "comma-quote-label": _comma_quote_label,
+    "colliding-case-names": _colliding_case_names,
+    "year-10000": _year_10000,
+    "determinate-yes": _determinate_yes,
+}
+
+_SUBCOMMANDS = {
+    "graph-sweep-dot": ["graph", "--algorithm", "sweep", "--dot", "{tmp}/dot"],
+    "graph-baseline": ["graph", "--algorithm", "baseline"],
+    "check-oracle": ["check", "--oracle"],
+    "udfg": ["udfg", "--out", "{tmp}/udfg.csv"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+@pytest.mark.parametrize("mutation", list(_LOG_MUTATIONS))
+def test_exit_contract_on_generated_and_broken_logs(tmp_path, capsys, mutation, command):
+    # every subcommand succeeds, or exits 1 with one "error: " line
+    log_path = _generate(
+        tmp_path, **{"--traces": "3", "--p-activity": "0.4", "--p-indeterminate": "0.2"}
+    )
+    if _LOG_MUTATIONS[mutation]:
+        records = [json.loads(line) for line in log_path.read_text().splitlines()]
+        _LOG_MUTATIONS[mutation](records)
+        log_path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    capsys.readouterr()
+    argv = [part.format(tmp=tmp_path) for part in _SUBCOMMANDS[command]]
+    code = run([*argv, "--in", str(log_path)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code != 0:
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and err.endswith("\n")
 
 
 def test_import_csv_round_trip(tmp_path, capsys):

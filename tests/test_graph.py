@@ -10,10 +10,8 @@ from ubgraph import (
     build_baseline,
     build_sweep,
     reachable,
-    transitive_reduce,
 )
 from ubgraph import graph as graph_module
-from ubgraph.graph import NotADagError
 from ubgraph.oracle import SizeLimitError
 
 
@@ -68,39 +66,6 @@ def test_tied_certain_timestamps_downstream():
     )
     for build in (build_baseline, build_sweep):
         assert build(trace).edges == {("a", "x"), ("a", "y")}
-
-
-def test_transitive_reduce_triangle():
-    edges = {("a", "b"), ("b", "c"), ("a", "c")}
-    assert transitive_reduce(["a", "b", "c"], edges) == {("a", "b"), ("b", "c")}
-
-
-def test_transitive_reduce_idempotent_on_chain():
-    chain = {("a", "b"), ("b", "c")}
-    assert transitive_reduce(["a", "b", "c"], chain) == chain
-
-
-def test_transitive_reduce_of_unreduced_precedence(six_event_trace):
-    # all eleven ordered pairs of the six-event fixture, by hand
-    pairs = {
-        ("e1", "e2"), ("e1", "e3"), ("e1", "e4"), ("e1", "e5"), ("e1", "e6"),
-        ("e2", "e4"), ("e2", "e5"), ("e2", "e6"),
-        ("e3", "e6"), ("e4", "e6"), ("e5", "e6"),
-    }
-    vertices = [f"e{i}" for i in range(1, 7)]
-    assert transitive_reduce(vertices, pairs) == SIX_EVENT_EDGES
-
-
-def test_transitive_reduce_rejects_cycle():
-    with pytest.raises(NotADagError, match="not a DAG"):
-        transitive_reduce(["a", "b"], {("a", "b"), ("b", "a")})
-    with pytest.raises(NotADagError):
-        transitive_reduce(["a"], {("a", "a")})
-
-
-def test_transitive_reduce_rejects_unknown_vertex():
-    with pytest.raises(ValueError, match="unknown vertex"):
-        transitive_reduce(["a"], {("a", "b")})
 
 
 def test_reachable(six_event_trace):

@@ -93,7 +93,7 @@ def test_time_injection_rejects_bad_probability():
 
 def test_activity_injection_adds_fresh_labels():
     log = generate_certain_log(_spec())
-    injected = inject_activity_uncertainty(log, 1.0, seed=9, extra_labels=1)
+    injected = inject_activity_uncertainty(log, 1.0, seed=9)
     for trace in injected.traces:
         assert all(len(e.activities) == 2 for e in trace.events)
     # topology unchanged: only labels moved

@@ -88,6 +88,16 @@ def test_validate_numpy_integer_timestamps():
     ]
 
 
+@pytest.mark.parametrize("flag", [np.bool_(False), "no", None, 1], ids=repr)
+def test_validate_non_bool_determinate_flags(flag):
+    # refused on purpose: the JSONL writer would write any truthy flag as true
+    expected = ["event e2 has a non-bool determinate flag"]
+    assert _violations(_event("e1", 0, 0), _event("e2", 5, 5, determinate=flag)) == expected
+    with pytest.raises(InvalidTraceError) as caught:
+        UncertainTrace.from_columns("c", ["e1", "e2"], [{"a"}, {"b"}], [0, 5], [0, 5], [True, flag])
+    assert caught.value.violations == expected
+
+
 @pytest.mark.parametrize(
     "t_min, t_max",
     [
