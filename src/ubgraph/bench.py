@@ -3,12 +3,11 @@
 Each experiment varies one parameter (trace length, trace count, or the
 share of uncertain timestamps), generates a fresh seeded log per point,
 and times whole-log graph construction for both algorithms.  Per point
-the median of r repetitions is kept, after one untimed warm-up run that
-also absorbs any one-off compilation cost; repetitions are interleaved
-across points so machine-speed drift does not bias the points measured
-last.  Log generation is never inside a timer, and every timed run ends
-with an edge-set comparison between the two algorithms; a mismatch
-aborts the experiment.
+the median of r repetitions is kept, after one untimed warm-up run;
+repetitions are interleaved across points so machine-speed drift does
+not bias the points measured last.  Log generation is never inside a
+timer, and every timed run ends with an edge-set comparison between the
+two algorithms; a mismatch aborts the experiment.
 """
 
 from __future__ import annotations

@@ -157,12 +157,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if args.oracle and len(trace) <= args.max_oracle_events:
             expected = covering_relation(trace)
             if baseline.edges != expected:
-                print(
-                    f"case {trace.case_id!r}: constructions disagree with "
-                    f"covering_relation",
-                    file=sys.stderr,
+                raise EquivalenceError(
+                    f"case {trace.case_id!r}: constructions disagree with covering_relation"
                 )
-                return 2
             oracle_checked += 1
     print(f"all {len(log)} traces equivalent")
     if args.oracle:
@@ -192,27 +189,29 @@ _BENCH_DEFAULTS = {
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     defaults = _BENCH_DEFAULTS[args.mode]
+    for name, default in defaults.items():
+        # None marks the parameter the mode varies: --points sets it
+        if default is None and getattr(args, name) is not None:
+            option = "--" + name.replace("_", "-")
+            raise ValueError(f"bench {args.mode} varies {option}; give its values with --points")
     points_text = args.points if args.points is not None else defaults["points"]
+    parse = float if args.mode == "uncertainty" else int
     try:
-        raw_points = [float(part) for part in points_text.split(",") if part.strip()]
+        points = [parse(part) for part in points_text.split(",") if part.strip()]
     except ValueError:
-        print(f"error: bad --points value {points_text!r}", file=sys.stderr)
-        return 1
+        kind = "numbers" if parse is float else "integers"
+        raise ValueError(
+            f"bad --points value {points_text!r}: bench {args.mode} takes {kind}"
+        ) from None
     traces = args.traces if args.traces is not None else defaults["traces"]
     length = args.length if args.length is not None else defaults["length"]
     p_time = args.p_time if args.p_time is not None else defaults["p_time"]
     if args.mode == "length":
-        result = bench_mod.run_length_experiment(
-            [int(v) for v in raw_points], traces, p_time, args.reps, args.seed
-        )
+        result = bench_mod.run_length_experiment(points, traces, p_time, args.reps, args.seed)
     elif args.mode == "traces":
-        result = bench_mod.run_traces_experiment(
-            [int(v) for v in raw_points], length, p_time, args.reps, args.seed
-        )
+        result = bench_mod.run_traces_experiment(points, length, p_time, args.reps, args.seed)
     else:
-        result = bench_mod.run_uncertainty_experiment(
-            raw_points, traces, length, args.reps, args.seed
-        )
+        result = bench_mod.run_uncertainty_experiment(points, traces, length, args.reps, args.seed)
     fits = []
     if len(result.values) >= 3 and args.mode != "uncertainty":
         fits = [fit_scaling_exponent(result, name) for name in sorted(result.times)]

@@ -10,9 +10,10 @@ acyclic.
 Two constructions are provided with identical output:
 
 * ``build_baseline`` materializes the full precedence relation and then
-  reduces it with ``closure_reduce`` (cubic in the number of events).
-  It is the reference.  The relation is acyclic by construction, so
-  there is no cycle to handle, and no reduction of arbitrary graphs.
+  strips its transitive edges in one pass over the n events (cubic in
+  the number of events).  It is the reference.  The relation is an
+  interval order, so it is already transitive: there is no closure to
+  take and no cycle to handle.
 * ``build_sweep`` reads the reduced edges straight off the events in
   start order: ``v -> w`` is an edge exactly when
   ``t_max[v] < t_min[w] <= M(v)``, where ``M(v)`` is the least
@@ -23,7 +24,7 @@ Two constructions are provided with identical output:
 Both read the trace's columns (the ``t_min``/``t_max`` int64 arrays,
 ids, activity sets and flags), never ``trace.events``, and neither
 checks its input: an ``UncertainTrace`` is valid by construction.  The
-array work is plain numpy.  Its matrix kernels avoid matrix products,
+array work is plain numpy.  Its matrix kernel avoids matrix products,
 so no BLAS thread pool is involved and timed sections stay
 single-threaded.
 """
@@ -72,46 +73,30 @@ def _assemble(trace: UncertainTrace, src: np.ndarray, dst: np.ndarray) -> Behavi
     )
 
 
-def closure_reduce(adj: np.ndarray) -> np.ndarray:
-    """Transitive reduction of an acyclic relation matrix, via its closure.
-
-    Loops over the n pivots with boolean row operations.  On a cyclic
-    input the result is meaningless.  A trace's precedence relation
-    ``t_max[v] < t_min[w]`` is never cyclic: every event has
-    ``t_min <= t_max``, so the relation is a strict order.
-    """
-    n = adj.shape[0]
-    reach = adj.copy()
-    for k in range(n):
-        src = reach[:, k]
-        if src.any():
-            reach[src] |= reach[k]
-    # two-hop pairs: shadow[i, j] iff some k has reach[i, k] and reach[k, j]
-    shadow = np.zeros_like(reach)
-    for k in range(n):
-        src = reach[:, k]
-        if src.any():
-            shadow[src] |= reach[k]
-    return reach & ~shadow
-
-
 def build_baseline(trace: UncertainTrace) -> BehaviorGraph:
     """Behavior graph via the full precedence relation.
 
     Enumerates every ordered pair (quadratic), then strips transitive
-    edges (cubic).  Serves as the reference the sweep is checked
-    against.  Its n x n matrices need n**2 bytes each, about three at
-    once, so a trace of more than MAX_BASELINE_EVENTS events raises
-    SizeLimitError before anything is allocated.
+    edges in one loop over the n events (cubic).  Serves as the
+    reference the sweep is checked against.  Its n x n matrices need
+    n**2 bytes each, about three at once, so a trace of more than
+    MAX_BASELINE_EVENTS events raises SizeLimitError before anything is
+    allocated.
     """
     if len(trace) > MAX_BASELINE_EVENTS:
         raise SizeLimitError(
             f"trace {trace.case_id!r} has {len(trace)} events; the baseline "
             f"construction is limited to {MAX_BASELINE_EVENTS}"
         )
-    t_min, t_max = trace.t_min, trace.t_max
-    reduced = closure_reduce(t_max[:, None] < t_min[None, :])
-    return _assemble(trace, *np.nonzero(reduced))
+    before = trace.t_max[:, None] < trace.t_min[None, :]
+    # before is transitive (every event has t_min <= t_max), so v -> w is
+    # covering unless some u has v before u before w
+    between = np.zeros_like(before)
+    for u in range(len(trace)):
+        earlier = before[:, u]
+        if earlier.any():
+            between[earlier] |= before[u]
+    return _assemble(trace, *np.nonzero(before & ~between))
 
 
 _NO_SUCCESSOR = np.array([np.iinfo(np.int64).max], dtype=np.int64)

@@ -63,14 +63,18 @@ def parse_timestamp(text: str) -> int:
     value = text.strip()
     try:
         dt = datetime.fromisoformat(value)
-    except ValueError:
+    except ValueError as err:
         match = _DAY_FIRST.fullmatch(value)
         if match:
             day, month, year = (int(g) for g in match.groups())
             dt = datetime(year, month, day)
         elif value.endswith("Z"):
-            # before Python 3.11, fromisoformat does not read the Z suffix
-            dt = datetime.fromisoformat(value[:-1] + "+00:00")
+            # fromisoformat reads no Z suffix before Python 3.11, and none
+            # after a bare date; a failed retry reports the text as given
+            try:
+                dt = datetime.fromisoformat(value[:-1] + "+00:00")
+            except ValueError:
+                raise err from None
         else:
             raise
     if dt.tzinfo is None:

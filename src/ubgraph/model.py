@@ -49,7 +49,6 @@ class UncertainEvent:
             object.__setattr__(self, "activities", frozenset(self.activities))
 
 
-_CANONICAL_ORDER = attrgetter("t_min", "t_max", "event_id")
 _EVENT_FIELDS = attrgetter("event_id", "activities", "t_min", "t_max", "determinate")
 
 # the instants the JSONL writer can format: years 1 to 9999, UTC
@@ -70,9 +69,10 @@ class UncertainTrace:
     There are two ways to build one: ``UncertainTrace(case_id, events)``
     from event objects, and ``UncertainTrace.from_columns`` from one
     sequence per attribute, which never makes an event object.  The
-    ``events`` tuple is built on first access when the trace came from
-    columns, and kept.  Equality and hashing compare the case id and
-    the columns.
+    first takes the events' columns and runs the body of the second,
+    so both sort, check and store the same way.  The ``events`` tuple
+    is built on first access, and kept.  Equality and hashing compare
+    the case id and the columns.
 
     A trace is valid by construction: both routes run the rules of
     ``validate_trace`` and raise InvalidTraceError with every violation,
@@ -82,11 +82,9 @@ class UncertainTrace:
     __slots__ = ("case_id", "event_ids", "activities", "determinate", "t_min", "t_max", "_events")
 
     def __init__(self, case_id: str, events: Iterable[UncertainEvent] = ()) -> None:
-        ordered = tuple(sorted(events, key=_CANONICAL_ORDER))
         # one tuple per field, in the order _fill takes them
-        columns = zip(*map(_EVENT_FIELDS, ordered)) if ordered else ((),) * 5
+        columns = tuple(zip(*map(_EVENT_FIELDS, events))) or ((),) * 5
         self._fill(case_id, *columns)
-        object.__setattr__(self, "_events", ordered)
 
     @classmethod
     def from_columns(
@@ -104,6 +102,12 @@ class UncertainTrace:
         canonical one.  Timestamps must be Python ``int``, as for
         ``UncertainEvent``.
         """
+        trace = cls.__new__(cls)
+        trace._fill(case_id, event_ids, activities, t_min, t_max, determinate)
+        return trace
+
+    def _fill(self, case_id, event_ids, activities, t_min, t_max, determinate) -> None:
+        # sort the rows into canonical order, check them, then keep them
         n = len(event_ids)
         if not len(activities) == len(t_min) == len(t_max) == len(determinate) == n:
             raise ValueError(f"trace {case_id!r}: columns of different lengths")
@@ -111,26 +115,21 @@ class UncertainTrace:
         rows = sorted(zip(t_min, t_max, event_ids, range(n), activities, determinate))
         if rows:
             t_min, t_max, event_ids, _, activities, determinate = zip(*rows)
-        trace = cls.__new__(cls)
         # frozenset() of a frozenset is the same object
-        trace._fill(case_id, event_ids, tuple(map(frozenset, activities)), t_min, t_max, determinate)
-        object.__setattr__(trace, "_events", None)
-        return trace
-
-    def _fill(self, case_id, event_ids, activities, t_min, t_max, determinate) -> None:
-        # the columns are in canonical order; check them, then keep them
+        activities = tuple(map(frozenset, activities))
         violations = _violations(event_ids, activities, t_min, t_max, determinate)
         if violations:
             raise InvalidTraceError(case_id, violations)
         setter = object.__setattr__
         setter(self, "case_id", case_id)
         setter(self, "event_ids", tuple(event_ids))
-        setter(self, "activities", tuple(activities))
+        setter(self, "activities", activities)
         setter(self, "determinate", tuple(determinate))
         bounds = np.array((t_min, t_max), dtype=np.int64)
         bounds.flags.writeable = False
         setter(self, "t_min", bounds[0])
         setter(self, "t_max", bounds[1])
+        setter(self, "_events", None)
 
     @property
     def events(self) -> tuple[UncertainEvent, ...]:
@@ -321,6 +320,5 @@ def precedes(v: UncertainEvent, w: UncertainEvent) -> bool:
     return v.t_max < w.t_min
 
 
-def make_trace(case_id: str, events: Iterable[UncertainEvent]) -> UncertainTrace:
-    """Convenience constructor accepting any iterable of events."""
-    return UncertainTrace(case_id=case_id, events=tuple(events))
+# the class already accepts any iterable of events
+make_trace = UncertainTrace

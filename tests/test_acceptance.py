@@ -9,8 +9,8 @@ conftest.py.
 
 Criterion 4 checks the paper's scaling claims on trace lengths 512, 1024
 and 2048.  The baseline's cubic term only carries its time from about 512
-events up: below that, the per-iteration overhead of the interpreted
-closure kernel dominates and a fit measures the interpreter, not the
+events up: below that, the per-iteration overhead of its interpreted
+reduction loop dominates and a fit measures the interpreter, not the
 algorithm.  The sweep is promised to be at most quadratic and near
 linear when intervals overlap only locally, as they do in the generated
 logs, so the criterion asks for no lower bound on its exponent; it asks

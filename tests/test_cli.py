@@ -139,7 +139,7 @@ def test_check_oracle_disagreement_exits_two_naming_the_case(tmp_path, capsys, m
     monkeypatch.setattr(cli, "covering_relation", lambda trace: frozenset())
     assert run(["check", "--in", str(log_path), "--oracle"]) == 2
     err = capsys.readouterr().err
-    assert err == "case 'c0': constructions disagree with covering_relation\n"
+    assert err == "error: case 'c0': constructions disagree with covering_relation\n"
 
 
 def test_missing_input_file_is_validation_error(tmp_path, capsys):
@@ -348,6 +348,30 @@ def test_bench_bad_points_exit_one(tmp_path, capsys):
     assert run(["bench", "length", "--points", "a,b", "--seed", "1",
                 "--report", str(tmp_path / "r.csv")]) == 1
     assert "--points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mode, options, message",
+    [
+        ("traces", ["--points", "2,4,8", "--traces", "999"], "bench traces varies --traces"),
+        ("length", ["--length", "77"], "bench length varies --length"),
+        ("uncertainty", ["--p-time", "0.5"], "bench uncertainty varies --p-time"),
+        ("length", ["--points", "4.7,6,8"], "bench length takes integers"),
+        ("traces", ["--points", "2,4.5"], "bench traces takes integers"),
+    ],
+)
+def test_bench_refuses_options_it_would_ignore(tmp_path, capsys, monkeypatch, mode, options, message):
+    def no_experiment(*args):
+        raise AssertionError("the experiment ran")
+
+    for name in ("run_length_experiment", "run_traces_experiment", "run_uncertainty_experiment"):
+        monkeypatch.setattr(bench, name, no_experiment)
+    report = tmp_path / "r.csv"
+    assert run(["bench", mode, *options, "--seed", "1", "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+    assert not report.exists()
 
 
 def test_help_exits_zero(capsys):

@@ -37,16 +37,22 @@ _DAY_FIRST = re.compile(r"(\d{2})-(\d{2})-(\d{4})")
 
 
 def reference_parse_timestamp(text: str) -> int:
-    """Definitional timestamp parser: DD-MM-YYYY first, then ISO-8601 with Z as +00:00."""
+    """Definitional timestamp parser: DD-MM-YYYY first, then ISO-8601 with Z as +00:00.
+
+    A refusal's message quotes the text as given.
+    """
     value = text.strip()
     match = _DAY_FIRST.fullmatch(value)
     if match:
         day, month, year = (int(g) for g in match.groups())
         dt = datetime(year, month, day, tzinfo=timezone.utc)
     else:
-        if value.endswith("Z"):
-            value = value[:-1] + "+00:00"
-        dt = datetime.fromisoformat(value)
+        try:
+            dt = datetime.fromisoformat(value[:-1] + "+00:00" if value.endswith("Z") else value)
+        except ValueError:
+            # the error quotes the text as given, not its rewrite
+            datetime.fromisoformat(value)
+            raise
         if dt.tzinfo is None:
             dt = dt.replace(tzinfo=timezone.utc)
     return round((dt - _EPOCH) / _MS)
@@ -445,6 +451,23 @@ def test_read_refuses_instants_outside_the_writer_range(tmp_path):
     assert str(caught.value) == "event e1 has timestamps outside years 1 to 9999"
 
 
+def test_bad_timestamp_quotes_the_text_in_the_file(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    record = {
+        "case": "c",
+        "event": "e1",
+        "activities": ["a"],
+        "t_min": "2011-12-05T00:00:00.000Z",
+        "t_max": "10000-01-01T00:00:00.000Z",
+    }
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(LogFormatError) as caught:
+        read_log(path)
+    assert str(caught.value) == (
+        "line 1: bad timestamp (Invalid isoformat string: '10000-01-01T00:00:00.000Z')"
+    )
+
+
 _TIMESTAMP_TEXT = st.one_of(
     st.sampled_from(
         [
@@ -569,9 +592,11 @@ def test_graph_path_makes_no_event_objects(tmp_path, monkeypatch):
     for trace in read.traces:
         export_dot(build_sweep(trace), tmp_path / f"{trace.case_id}.dot")
     assert made == []
-    # built on demand afterwards, they are the events the reference reader makes
-    assert [t.events for t in read.traces] == [t.events for t in reference_read_log(path).traces]
-    assert len(made) == 2 * sum(len(trace) for trace in log.traces)
+    # built on demand afterwards, one object per event, they are the
+    # events the reference reader makes
+    events = [t.events for t in read.traces]
+    assert len(made) == sum(len(trace) for trace in read.traces)
+    assert events == [t.events for t in reference_read_log(path).traces]
 
 
 # characters that JSON must escape or that ensure_ascii writes as \\u escapes
