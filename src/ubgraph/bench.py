@@ -179,6 +179,19 @@ def run_uncertainty_experiment(
     return _experiment("uncertainty", shares, make_log, repetitions, seed)
 
 
+def check_fit_values(values: Sequence[float]) -> None:
+    """Raise ValueError unless ``values`` can carry an exponent fit.
+
+    A fit needs at least three strictly increasing positive values.
+    The CLI checks its points with this before an experiment runs.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.size < 3:
+        raise ValueError("exponent fit needs at least 3 points")
+    if not (np.all(values > 0) and np.all(np.diff(values) > 0)):
+        raise ValueError("exponent fit needs strictly increasing positive values")
+
+
 def fit_scaling_exponent(result: BenchmarkResult, algorithm: str) -> ScalingFit:
     """Fit time ~ value**exponent for one algorithm's measurements.
 
@@ -187,12 +200,9 @@ def fit_scaling_exponent(result: BenchmarkResult, algorithm: str) -> ScalingFit:
     """
     if algorithm not in result.times:
         raise ValueError(f"no measurements for algorithm {algorithm!r}")
+    check_fit_values(result.values)
     values = np.asarray(result.values, dtype=float)
     seconds = np.asarray(result.times[algorithm], dtype=float)
-    if values.size < 3:
-        raise ValueError("exponent fit needs at least 3 points")
-    if not (np.all(values > 0) and np.all(np.diff(values) > 0)):
-        raise ValueError("exponent fit needs strictly increasing positive values")
     if not np.all(seconds > 0):
         raise ValueError("exponent fit needs positive timings")
     coefficients, residuals, *_ = np.polyfit(

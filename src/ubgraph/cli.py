@@ -203,6 +203,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError(
             f"bad --points value {points_text!r}: bench {args.mode} takes {kind}"
         ) from None
+    fit = len(points) >= 3 and args.mode != "uncertainty"
+    if fit:
+        bench_mod.check_fit_values(points)
     traces = args.traces if args.traces is not None else defaults["traces"]
     length = args.length if args.length is not None else defaults["length"]
     p_time = args.p_time if args.p_time is not None else defaults["p_time"]
@@ -212,9 +215,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         result = bench_mod.run_traces_experiment(points, length, p_time, args.reps, args.seed)
     else:
         result = bench_mod.run_uncertainty_experiment(points, traces, length, args.reps, args.seed)
-    fits = []
-    if len(result.values) >= 3 and args.mode != "uncertainty":
-        fits = [fit_scaling_exponent(result, name) for name in sorted(result.times)]
+    fits = [fit_scaling_exponent(result, name) for name in sorted(result.times)] if fit else []
     bench_mod.emit_report(result, fits, args.report)
     return 0
 

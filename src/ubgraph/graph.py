@@ -21,18 +21,19 @@ Two constructions are provided with identical output:
   suffix minimum and two binary searches give each event a contiguous
   range of successors, so the cost is O(n log n + |E|).
 
-Both read the trace's columns (the ``t_min``/``t_max`` int64 arrays,
-ids, activity sets and flags), never ``trace.events``, and neither
-checks its input: an ``UncertainTrace`` is valid by construction.  The
-array work is plain numpy.  Its matrix kernel avoids matrix products,
-so no BLAS thread pool is involved and timed sections stay
-single-threaded.
+Both read the trace's ``t_min``/``t_max`` int64 arrays, never
+``trace.events``, and neither checks its input: an ``UncertainTrace``
+is valid by construction.  Both return a ``BehaviorGraph`` that holds
+the trace and its edges as two index arrays, so a build makes no
+per-edge Python object; id pairs are made only when a caller iterates
+``graph.edges``.  The array work is plain numpy.  Its matrix kernel
+avoids matrix products, so no BLAS thread pool is involved and timed
+sections stay single-threaded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Iterator, Set
 
 import numpy as np
 
@@ -42,35 +43,106 @@ from .model import SizeLimitError, UncertainTrace
 MAX_BASELINE_EVENTS = 4096
 
 
-@dataclass(frozen=True)
 class BehaviorGraph:
-    """Vertices are event ids; edges point from earlier to later events.
+    """The behavior graph of one trace, held as index arrays.
 
-    ``payload`` maps each event id to its (activity set, determinate
-    flag) pair so the graph can be rendered without the source trace.
+    Vertex k is the trace's k-th event, ``trace.event_ids[k]`` in the
+    trace's canonical order, and edge k points from vertex ``src[k]`` to
+    vertex ``dst[k]`` (read-only integer arrays of equal length).  The
+    activity sets and determinate flags stay in the trace's columns.
+
+    ``case_id`` and ``vertices`` (a frozenset of event ids) come from
+    the trace.  ``edges`` is a read-only set view of ``(v, w)`` id
+    pairs: its length is ``len(src)`` and costs nothing, and it compares,
+    tests membership and combines with frozensets as a frozenset of the
+    pairs would.  Two graphs are equal when their traces and their edge
+    sets are.
     """
 
-    case_id: str
-    vertices: frozenset[str]
-    edges: frozenset[tuple[str, str]]
-    payload: Mapping[str, tuple[frozenset[str], bool]]
+    __slots__ = ("trace", "src", "dst")
+
+    def __init__(self, trace: UncertainTrace, src, dst) -> None:
+        # views, so that making them read-only leaves the caller's arrays alone
+        src = np.asarray(src, dtype=np.intp).view()
+        dst = np.asarray(dst, dtype=np.intp).view()
+        if src.shape != dst.shape or src.ndim != 1:
+            raise ValueError("src and dst must be 1-d arrays of equal length")
+        src.flags.writeable = dst.flags.writeable = False
+        setter = object.__setattr__
+        setter(self, "trace", trace)
+        setter(self, "src", src)
+        setter(self, "dst", dst)
+
+    @property
+    def case_id(self) -> str:
+        return self.trace.case_id
+
+    @property
+    def vertices(self) -> frozenset[str]:
+        return frozenset(self.trace.event_ids)
+
+    @property
+    def edges(self) -> _Edges:
+        return _Edges(self.trace.event_ids, self.src, self.dst)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.trace == other.trace and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.trace, len(self.src)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: BehaviorGraph is immutable")
+
+    def __reduce__(self):
+        return (BehaviorGraph, (self.trace, self.src, self.dst))
+
+    def __repr__(self) -> str:
+        return (
+            f"BehaviorGraph(case_id={self.case_id!r}, "
+            f"vertices={len(self.trace)}, edges={len(self.src)})"
+        )
+
+
+class _Edges(Set):
+    """The ``(v, w)`` event-id pairs of ``ids[src[k]] -> ids[dst[k]]``, as a set.
+
+    Length and iteration read the arrays.  Membership builds a frozenset
+    of the pairs on the first test and keeps it, so comparing two views
+    stays linear.  Set operators return frozensets.
+    """
+
+    __slots__ = ("_ids", "_src", "_dst", "_pairs")
+
+    def __init__(self, ids: tuple[str, ...], src: np.ndarray, dst: np.ndarray) -> None:
+        self._ids, self._src, self._dst = ids, src, dst
+        self._pairs: frozenset[tuple[str, str]] | None = None
+
+    def __len__(self) -> int:
+        return len(self._src)
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        get = self._ids.__getitem__
+        return zip(map(get, self._src.tolist()), map(get, self._dst.tolist()))
+
+    def __contains__(self, pair: object) -> bool:
+        if self._pairs is None:
+            self._pairs = frozenset(self)
+        return pair in self._pairs
+
+    @classmethod
+    def _from_iterable(cls, iterable) -> frozenset:
+        return frozenset(iterable)
+
+    def __repr__(self) -> str:
+        return f"edges({sorted(self)!r})"
 
 
 def backend_name() -> str:
     """Name of the array backend the constructions run on."""
     return "numpy"
-
-
-def _assemble(trace: UncertainTrace, src: np.ndarray, dst: np.ndarray) -> BehaviorGraph:
-    """Graph of ``trace`` whose edges are ``event_ids[src[k]] -> event_ids[dst[k]]``."""
-    ids = trace.event_ids
-    get = ids.__getitem__
-    return BehaviorGraph(
-        case_id=trace.case_id,
-        vertices=frozenset(ids),
-        edges=frozenset(zip(map(get, src.tolist()), map(get, dst.tolist()))),
-        payload=dict(zip(ids, zip(trace.activities, trace.determinate))),
-    )
 
 
 def build_baseline(trace: UncertainTrace) -> BehaviorGraph:
@@ -96,7 +168,7 @@ def build_baseline(trace: UncertainTrace) -> BehaviorGraph:
         earlier = before[:, u]
         if earlier.any():
             between[earlier] |= before[u]
-    return _assemble(trace, *np.nonzero(before & ~between))
+    return BehaviorGraph(trace, *np.nonzero(before & ~between))
 
 
 _NO_SUCCESSOR = np.array([np.iinfo(np.int64).max], dtype=np.int64)
@@ -120,7 +192,7 @@ def build_sweep(trace: UncertainTrace) -> BehaviorGraph:
     src = np.repeat(np.arange(len(counts)), counts)
     # dst runs lo[v], lo[v] + 1, ..., hi[v] - 1 within the block of each v
     dst = np.arange(len(src)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    return _assemble(trace, src, dst)
+    return BehaviorGraph(trace, src, dst)
 
 
 def reachable(graph: BehaviorGraph, source: str, target: str) -> bool:

@@ -7,11 +7,14 @@ Three formats:
   ISO-8601 UTC strings with millisecond precision.  Lines may appear in
   any order; events sharing a "case" value form one trace.  Reading
   and writing go through the trace's columns and make no event
-  objects.
+  objects.  A line in exactly the form ``write_log`` writes is read
+  from one regular-expression match; any other line is decoded by
+  ``json.loads``, with the same result and the same refusals.
 * CSV import for conventional logs: one certain event per row, column
   names supplied by the caller.
 * DOT export of a behavior graph, byte-deterministic, with dashed
-  borders marking events that may not have happened.
+  borders marking events that may not have happened, formatted from
+  the graph's index arrays and its trace's columns.
 """
 
 from __future__ import annotations
@@ -20,9 +23,8 @@ import csv
 import json
 import re
 from datetime import datetime, timedelta, timezone
-from itertools import groupby, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +35,6 @@ from .model import InvalidTraceError, UncertainLog, UncertainTrace, validate_log
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MS = timedelta(milliseconds=1)
 _DAY_FIRST = re.compile(r"(\d{2})-(\d{2})-(\d{4})")
-_CASE = itemgetter(0)
 
 
 class LogFormatError(ValueError):
@@ -127,16 +128,20 @@ def write_log(log: UncertainLog, destination: str | Path) -> int:
     return len(data)
 
 
-# one event as read: (case, event id, activities, t_min, t_max, determinate)
-_Row = tuple[str, str, frozenset[str], int, int, bool]
+def _row_from_line(
+    line: str, number: int, label_sets: dict[tuple, frozenset[str]]
+) -> tuple[str, str, frozenset[str], int, int, bool]:
+    """One line's (case, event id, activities, t_min, t_max, determinate), after its checks.
 
-
-def _row_from_line(line: str, number: int, label_sets: dict[tuple, frozenset[str]]) -> _Row:
-    """One line's row, after its checks; equal label lists share one frozenset."""
+    Equal label lists share one frozenset.
+    """
     try:
         record = json.loads(line)
     except json.JSONDecodeError as err:
         raise LogFormatError(f"line {number}: not valid JSON ({err.msg})") from err
+    except (ValueError, RecursionError) as err:
+        # an integer past Python's digit limit, or nesting past the recursion limit
+        raise LogFormatError(f"line {number}: not valid JSON ({err})") from err
     if not isinstance(record, dict):
         raise LogFormatError(f"line {number}: expected a JSON object")
     try:
@@ -172,13 +177,66 @@ def _row_from_line(line: str, number: int, label_sets: dict[tuple, frozenset[str
     return case_id, event_id, labels, t_min, t_max, determinate
 
 
-def _assemble_log(rows: list[_Row]) -> UncertainLog:
-    """One trace per case, built from columns; every violation in one LogFormatError."""
-    rows.sort(key=_CASE)  # stable: groups the cases, in case-id order
+# A line exactly as write_log writes it: its key order and separators,
+# strings without escapes or control characters, at least one label,
+# and canonical instants with a valid time of day, in ASCII digits (\d
+# would also take other Unicode digits).  Such a line decodes to its
+# match groups; read_log still checks its dates and its interval.
+_TEXT = r'[^"\\\x00-\x1f]*'
+_INSTANT = r'"([0-9]{4}-[0-9]{2}-[0-9]{2}T(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9]\.[0-9]{3})Z"'
+_CANONICAL_LINE = re.compile(
+    r'\{"case": "(' + _TEXT + r')", "event": "(' + _TEXT + r')"'
+    + r', "activities": \[("' + _TEXT + r'"(?:, "' + _TEXT + r'")*)\]'
+    + r', "t_min": ' + _INSTANT + r', "t_max": ' + _INSTANT
+    + r', "determinate": (?:(true)|false)\}\n?'
+)
+
+
+class _Instants(dict):
+    """Epoch milliseconds of each canonical instant text, or None if its date does not exist.
+
+    Worked out once per text: logs repeat instants (generated ones place
+    events on whole seconds), and the columns then share one int per
+    instant.  It keeps at most _INSTANTS_KEPT texts, so a log of
+    distinct instants does not hold them all.
+    """
+
+    def __missing__(self, text: str) -> int | None:
+        try:
+            instant = (datetime.fromisoformat(text) - _NAIVE_EPOCH) // _MS
+        except ValueError:
+            instant = None
+        if len(self) >= _INSTANTS_KEPT:
+            self.clear()
+        self[text] = instant
+        return instant
+
+
+_NAIVE_EPOCH = datetime(1970, 1, 1)
+_INSTANTS_KEPT = 4096
+
+
+class _LabelSets(dict):
+    """The label set of each canonical ``"a", "b"`` list text, made once per text."""
+
+    def __missing__(self, text: str) -> frozenset[str]:
+        labels = self[text] = frozenset(text[1:-1].split('", "'))
+        return labels
+
+
+# one case as read: event ids, activity sets, t_min, t_max, determinate flags
+_Columns = tuple[list, list, list, list, list]
+
+
+def _build_log(cases: dict[str, _Columns]) -> UncertainLog:
+    """One trace per case, in case-id order; every violation in one LogFormatError.
+
+    Each case's columns are dropped as soon as its trace is built.
+    """
     traces: list[UncertainTrace] = []
     violations: list[str] = []
-    for case_id, group in groupby(rows, key=_CASE):
-        _, event_ids, activities, t_min, t_max, determinate = zip(*group)
+    for case_id in sorted(cases):
+        event_ids, activities, t_min, t_max, determinate = cases.pop(case_id)
         try:
             traces.append(
                 UncertainTrace.from_columns(
@@ -197,17 +255,46 @@ def _assemble_log(rows: list[_Row]) -> UncertainLog:
 def read_log(source: str | Path) -> UncertainLog:
     """Parse a JSON-lines file written by write_log (any line order).
 
-    Each non-blank line is decoded on its own, so an object spread over
-    several lines is refused.  No event object is made: the lines fill
-    one row each, and every case becomes a trace built from columns.
+    Each non-blank line is read on its own, so an object spread over
+    several lines is refused.  A line in write_log's exact form (see
+    ``_CANONICAL_LINE``) whose dates exist and whose t_min is not after
+    its t_max is taken from its match groups; every other line is
+    decoded by ``json.loads`` and checked key by key, which gives the
+    same row for a valid line and the message, with its line number,
+    for a bad one.  Each line's fields go straight to its case's
+    columns, and no event object is made.
     """
-    rows: list[_Row] = []
-    label_sets: dict[tuple, frozenset[str]] = {}
+    cases: dict[str, _Columns] = {}
+    instants = _Instants()
+    label_sets = _LabelSets()
+    json_label_sets: dict[tuple, frozenset[str]] = {}
+    match = _CANONICAL_LINE.fullmatch
     with open(source, "r", encoding="utf-8") as handle:
         for number, line in enumerate(handle, start=1):
-            if line.strip():
-                rows.append(_row_from_line(line, number, label_sets))
-    return _assemble_log(rows)
+            found = match(line)
+            if found is not None:
+                case_id, event_id, labels_text, low, high, true = found.groups()
+                low, high = instants[low], instants[high]
+                if low is None or high is None or low > high:
+                    found = None
+            if found is not None:
+                labels, determinate = label_sets[labels_text], true is not None
+            elif line.strip():
+                case_id, event_id, labels, low, high, determinate = _row_from_line(
+                    line, number, json_label_sets
+                )
+            else:
+                continue
+            columns = cases.get(case_id)
+            if columns is None:
+                columns = cases[case_id] = ([], [], [], [], [])
+            event_ids, activities, t_min, t_max, flags = columns
+            event_ids.append(event_id)
+            activities.append(labels)
+            t_min.append(low)
+            t_max.append(high)
+            flags.append(determinate)
+    return _build_log(cases)
 
 
 def import_certain_csv(
@@ -223,8 +310,7 @@ def import_certain_csv(
     timestamp.  Without ``id_col``, ids are generated as
     "<case>#<k>" with k counting the case's rows from 1.
     """
-    rows: list[_Row] = []
-    counters: dict[str, int] = {}
+    cases: dict[str, _Columns] = {}
     with open(source, "r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
         columns = reader.fieldnames or []
@@ -242,16 +328,21 @@ def import_certain_csv(
                 instant = parse_timestamp(row[time_col] or "")
             except ValueError as err:
                 raise LogFormatError(f"row {number}: bad timestamp ({err})") from err
-            counters[case_id] = counters.get(case_id, 0) + 1
+            columns = cases.setdefault(case_id, ([], [], [], [], []))
+            event_ids, activities, t_min, t_max, determinate = columns
             event_id = (
                 (row[id_col] or "").strip()
                 if id_col
-                else f"{case_id}#{counters[case_id]}"
+                else f"{case_id}#{len(event_ids) + 1}"
             )
             if not event_id:
                 raise LogFormatError(f"row {number}: empty event id")
-            rows.append((case_id, event_id, frozenset({activity}), instant, instant, True))
-    return _assemble_log(rows)
+            event_ids.append(event_id)
+            activities.append(frozenset({activity}))
+            t_min.append(instant)
+            t_max.append(instant)
+            determinate.append(True)
+    return _build_log(cases)
 
 
 def _dot_quote(text: str) -> str:
@@ -262,17 +353,28 @@ def export_dot(graph: BehaviorGraph, destination: str | Path) -> int:
     """Render a behavior graph as a DOT digraph; returns bytes written.
 
     Vertex labels join the activity set with commas; events that may
-    not have happened are drawn dashed.  Output is sorted, so equal
-    graphs give identical bytes.
+    not have happened are drawn dashed.  Vertices come in event-id
+    order and edges in (id, id) order, so equal graphs give identical
+    bytes.  Each id is quoted once; the order comes from the ids' ranks
+    and the edge arrays, and the labels and flags from the trace's
+    columns.
     """
+    trace = graph.trace
+    ids, activities, determinate = trace.event_ids, trace.activities, trace.determinate
+    quoted = list(map(_dot_quote, ids))
+    order = sorted(range(len(ids)), key=ids.__getitem__)
     lines = ["digraph behavior_graph {"]
-    for vertex in sorted(graph.vertices):
-        activities, determinate = graph.payload[vertex]
-        label = _dot_quote(", ".join(sorted(activities)))
-        style = "" if determinate else ", style=dashed"
-        lines.append(f"  {_dot_quote(vertex)} [label={label}{style}];")
-    for v, w in sorted(graph.edges):
-        lines.append(f"  {_dot_quote(v)} -> {_dot_quote(w)};")
+    for i in order:
+        label = _dot_quote(", ".join(sorted(activities[i])))
+        style = "" if determinate[i] else ", style=dashed"
+        lines.append(f"  {quoted[i]} [label={label}{style}];")
+    rank = np.argsort(order)
+    src, dst = graph.src, graph.dst
+    by_ids = np.lexsort((rank[dst], rank[src]))
+    lines.extend(
+        f"  {quoted[v]} -> {quoted[w]};"
+        for v, w in zip(src[by_ids].tolist(), dst[by_ids].tolist())
+    )
     lines.append("}")
     data = ("\n".join(lines) + "\n").encode("utf-8")
     Path(destination).write_bytes(data)

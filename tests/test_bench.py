@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from ubgraph import BenchmarkResult, fit_scaling_exponent
+from ubgraph import BenchmarkResult, UncertainTrace, fit_scaling_exponent
 from ubgraph.bench import (
     EquivalenceError,
     _check_equivalent,
@@ -78,13 +78,17 @@ def test_uncertainty_experiment_smoke():
     assert result.values == (0.0, 0.5)
 
 
-def _tiny_graph(edges):
-    return BehaviorGraph("c", frozenset({"a", "b"}), frozenset(edges), {})
+def _tiny_graph(with_edge):
+    # events a then b, with the edge a -> b or none
+    trace = UncertainTrace.from_columns(
+        "c", ["a", "b"], [{"x"}, {"y"}], [0, 5], [0, 5], [True, True]
+    )
+    return BehaviorGraph(trace, [0] if with_edge else [], [1] if with_edge else [])
 
 
 def test_equivalence_gate_trips_on_mismatch():
-    left = [_tiny_graph({("a", "b")})]
-    right = [_tiny_graph(set())]
+    left = [_tiny_graph(True)]
+    right = [_tiny_graph(False)]
     with pytest.raises(EquivalenceError, match="disagree"):
         _check_equivalent(left, right)
     _check_equivalent(left, left)  # agreement passes silently

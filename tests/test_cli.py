@@ -1,12 +1,12 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 
 import pytest
 
 from ubgraph import (
+    BehaviorGraph,
     UncertainEvent,
     UncertainLog,
     UncertainTrace,
@@ -125,7 +125,7 @@ def test_check_disagreement_exits_two_naming_the_case(tmp_path, capsys, monkeypa
         graph = build_sweep(trace)
         if trace.case_id != "c1":
             return graph
-        return dataclasses.replace(graph, edges=frozenset(sorted(graph.edges)[1:]))
+        return BehaviorGraph(trace, graph.src[1:], graph.dst[1:])
 
     monkeypatch.setattr(cli, "build_sweep", drop_one_edge)
     assert run(["check", "--in", str(log_path)]) == 2
@@ -289,6 +289,21 @@ def test_exit_contract_on_generated_and_broken_logs(tmp_path, capsys, mutation, 
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and err.endswith("\n")
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["[" * 200_000, '{"case": ' + "1" * 5001 + "}"],
+    ids=["nested-200000-deep", "integer-of-5001-digits"],
+)
+def test_undecodable_line_exits_one_naming_the_line(tmp_path, capsys, line):
+    log_path = _generate(tmp_path, **{"--traces": "1", "--length": "2"})
+    log_path.write_text(log_path.read_text() + line + "\n")
+    capsys.readouterr()
+    assert run(["graph", "--algorithm", "sweep", "--in", str(log_path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: line 3: not valid JSON (") and err.endswith(")\n")
+
+
 def test_import_csv_round_trip(tmp_path, capsys):
     source = tmp_path / "events.csv"
     source.write_text("case,activity,timestamp\n945,a,05-12-2011\n945,b,07-12-2011\n")
@@ -358,6 +373,11 @@ def test_bench_bad_points_exit_one(tmp_path, capsys):
         ("uncertainty", ["--p-time", "0.5"], "bench uncertainty varies --p-time"),
         ("length", ["--points", "4.7,6,8"], "bench length takes integers"),
         ("traces", ["--points", "2,4.5"], "bench traces takes integers"),
+        # a fit would refuse these points, so the experiment must not run first
+        ("length", ["--points", "8,4,16", "--traces", "2", "--reps", "1"],
+         "exponent fit needs strictly increasing positive values"),
+        ("traces", ["--points", "0,250,500"],
+         "exponent fit needs strictly increasing positive values"),
     ],
 )
 def test_bench_refuses_options_it_would_ignore(tmp_path, capsys, monkeypatch, mode, options, message):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ubgraph import (
+    BehaviorGraph,
     UncertainEvent,
     UncertainTrace,
     build_baseline,
@@ -122,3 +123,32 @@ def test_every_edge_is_a_possible_direct_succession(trace):
             for sequence in sequences
             for a, b in zip(sequence, sequence[1:])
         )
+
+
+@PROPERTY_SETTINGS
+@given(traces(max_events=9, time_range=6, max_width=3), st.data())
+def test_edges_view_acts_as_a_frozenset(trace, data):
+    # graph.edges reads the index arrays; every set operation must give
+    # what the frozenset of its pairs gives, from either side
+    graph = build_sweep(trace)
+    edges, frozen = graph.edges, frozenset(graph.edges)
+    assert len(edges) == len(frozen) == len(graph.src)
+    assert sorted(edges) == sorted(frozen)
+    ids = trace.event_ids or ("e00",)
+    pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+    for other in (data.draw(st.frozensets(pair)), frozen, frozen - set(sorted(frozen)[:1])):
+        sides = ((edges, other, frozen, other), (other, edges, other, frozen))
+        for left, right, set_left, set_right in sides:
+            assert (left == right) == (set_left == set_right)
+            assert (left != right) == (set_left != set_right)
+            assert (left <= right) == (set_left <= set_right)
+            assert left - right == set_left - set_right
+            assert left | right == set_left | set_right
+            assert left & right == set_left & set_right
+        assert type(edges - other) is type(edges | other) is type(edges & other) is frozenset
+    for candidate in data.draw(st.lists(pair, max_size=5)) + [("e00",), "ab", None]:
+        assert (candidate in edges) == (candidate in frozen)
+    # the same edges from the baseline's arrays, in another order
+    assert build_baseline(trace).edges == edges
+    if len(edges):
+        assert BehaviorGraph(trace, graph.src[1:], graph.dst[1:]).edges != edges

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from conftest import FIVE_EVENT_EDGES, SIX_EVENT_EDGES
 
 from ubgraph import (
+    BehaviorGraph,
     UncertainEvent,
     UncertainTrace,
     build_baseline,
@@ -24,8 +27,12 @@ def test_five_event_golden(build, five_event_trace):
     graph = build(five_event_trace)
     assert graph.edges == FIVE_EVENT_EDGES
     assert graph.vertices == frozenset({"e1", "e2", "e3", "e4", "e5"})
-    assert graph.payload["e2"] == (frozenset({"b", "c"}), True)
-    assert graph.payload["e5"] == (frozenset({"e"}), False)
+    # labels and flags stay in the trace's columns, which the graph holds
+    trace = graph.trace
+    assert trace is five_event_trace
+    e2, e5 = trace.event_ids.index("e2"), trace.event_ids.index("e5")
+    assert (trace.activities[e2], trace.determinate[e2]) == (frozenset({"b", "c"}), True)
+    assert (trace.activities[e5], trace.determinate[e5]) == (frozenset({"e"}), False)
 
 
 @pytest.mark.parametrize("build", [build_baseline, build_sweep])
@@ -81,6 +88,20 @@ def test_reachable(six_event_trace):
 def test_builds_are_deterministic(five_event_trace):
     assert build_sweep(five_event_trace) == build_sweep(five_event_trace)
     assert build_baseline(five_event_trace) == build_baseline(five_event_trace)
+
+
+def test_graph_is_immutable_and_pickles(six_event_trace):
+    graph = build_sweep(six_event_trace)
+    with pytest.raises(AttributeError, match="immutable"):
+        graph.src = graph.src[:1]
+    with pytest.raises(ValueError, match="read-only"):
+        graph.src[0] = 1
+    copy = pickle.loads(pickle.dumps(graph))
+    assert copy == graph and hash(copy) == hash(graph)
+    assert copy.edges == SIX_EVENT_EDGES
+    # equal when the traces and the edge sets are, whatever the edge order
+    assert build_baseline(six_event_trace) == graph
+    assert BehaviorGraph(six_event_trace, graph.src[1:], graph.dst[1:]) != graph
 
 
 def test_baseline_refuses_traces_over_its_limit(monkeypatch):

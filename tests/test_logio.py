@@ -17,6 +17,7 @@ from ubgraph import (
     UncertainEvent,
     UncertainLog,
     UncertainTrace,
+    build_baseline,
     build_sweep,
     export_dot,
     generate_certain_log,
@@ -28,6 +29,7 @@ from ubgraph import (
     validate_log,
     write_log,
 )
+from ubgraph import logio
 from ubgraph.logio import LogFormatError, _iso_ms, format_timestamp, parse_timestamp
 from ubgraph.model import MAX_TIMESTAMP_MS, MIN_TIMESTAMP_MS
 
@@ -63,6 +65,8 @@ def _reference_event(line: str, number: int) -> tuple[str, UncertainEvent]:
         record = json.loads(line)
     except json.JSONDecodeError as err:
         raise LogFormatError(f"line {number}: not valid JSON ({err.msg})") from err
+    except (ValueError, RecursionError) as err:
+        raise LogFormatError(f"line {number}: not valid JSON ({err})") from err
     if not isinstance(record, dict):
         raise LogFormatError(f"line {number}: expected a JSON object")
     try:
@@ -419,6 +423,68 @@ def test_export_dot_escapes_quotes(tmp_path):
     assert nodes == {'say \\"hi\\"'}
 
 
+def _reference_dot_quote(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def reference_export_dot(graph, destination) -> int:
+    """Definitional DOT writer: sorts the vertex ids and the id pairs as strings.
+
+    Each vertex's label and flag are looked up by its id.  ``export_dot``
+    must write the same bytes for every graph.
+    """
+    trace = graph.trace
+    payload = dict(zip(trace.event_ids, zip(trace.activities, trace.determinate)))
+    lines = ["digraph behavior_graph {"]
+    for vertex in sorted(graph.vertices):
+        activities, determinate = payload[vertex]
+        label = _reference_dot_quote(", ".join(sorted(activities)))
+        style = "" if determinate else ", style=dashed"
+        lines.append(f"  {_reference_dot_quote(vertex)} [label={label}{style}];")
+    for v, w in sorted(graph.edges):
+        lines.append(f"  {_reference_dot_quote(v)} -> {_reference_dot_quote(w)};")
+    lines.append("}")
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    Path(destination).write_bytes(data)
+    return len(data)
+
+
+# ids whose string order differs from the trace's canonical order (e10 < e2),
+# and ids and labels that DOT quoting must escape
+_DOT_IDS = st.one_of(
+    st.sampled_from(["e1", "e2", "e10", "e9", "E2", 'a"b', "a\\b", "\\", '"', "é", "e 1"]),
+    st.text(alphabet='e0129"\\ ,', min_size=1, max_size=4),
+)
+_DOT_LABELS = st.sampled_from(["a", "b", "x,y", "x, y", 'say "hi"', "back\\slash", "é"])
+
+
+@st.composite
+def _dot_traces(draw):
+    """Tie-heavy traces (instants 0-6, widths 0-3) with awkward ids and labels."""
+    ids = draw(st.lists(_DOT_IDS, max_size=9, unique=True))
+    t_min = [draw(st.integers(0, 6)) for _ in ids]
+    return UncertainTrace.from_columns(
+        draw(st.sampled_from(["c", 'q"1'])),
+        ids,
+        [draw(st.frozensets(_DOT_LABELS, min_size=1, max_size=3)) for _ in ids],
+        t_min,
+        [low + draw(st.integers(0, 3)) for low in t_min],
+        [draw(st.booleans()) for _ in ids],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace=_dot_traces())
+def test_export_dot_matches_reference_writer(tmp_path_factory, trace):
+    folder = tmp_path_factory.mktemp("dot")
+    for build in (build_sweep, build_baseline):
+        graph = build(trace)
+        size = export_dot(graph, folder / "graph.dot")
+        expected_size = reference_export_dot(graph, folder / "reference.dot")
+        assert (folder / "graph.dot").read_bytes() == (folder / "reference.dot").read_bytes()
+        assert size == expected_size
+
+
 def test_timestamp_range_ends_round_trip(tmp_path):
     # years below 1000 are written with four digits, so they read back
     assert format_timestamp(MIN_TIMESTAMP_MS) == "0001-01-01T00:00:00.000Z"
@@ -501,10 +567,18 @@ _ODD_TIMESTAMPS = [
     "not a date", "31-02-2011", "", 5, None, "9999-12-31T23:59:59.9999Z",
     "0001-01-01T00:30:00+01:00", "1970-01-01T00:00:01.000Z",
 ]
+# in write_log's form, but no instant
+_NO_INSTANTS = [
+    "2011-02-30T00:00:00.000Z", "2011-13-05T00:00:00.000Z", "2011-12-05T24:00:00.000Z",
+    "0000-12-05T00:00:00.000Z", "٢٠١١-12-05T00:00:00.000Z", "2011-12-05T00:00:00.00٠Z",
+]
 _MUTATIONS = [
     "delete_key", "bad_timestamp", "non_string_label", "empty_activities", "backwards",
-    "duplicate_within", "duplicate_across", "blank", "not_json", "odd_value",
+    "duplicate_within", "duplicate_across", "blank", "not_json", "odd_value", "no_instant",
+    "escaped", "reshaped",
 ]
+# lines json.loads refuses with an error other than JSONDecodeError
+_UNDECODABLE = ["[" * 200_000, '{"case": ' + "1" * 5001 + "}"]
 
 
 @st.composite
@@ -549,10 +623,47 @@ def _jsonl_logs(draw):
         elif kind == "blank":
             lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
         elif kind == "not_json":
-            lines[index] = draw(st.sampled_from(["{broken", "[1, 2]", '"text"', "{}", "{} {}"]))
+            lines[index] = draw(
+                st.sampled_from(["{broken", "[1, 2]", '"text"', "{}", "{} {}", *_UNDECODABLE])
+            )
+        elif kind == "no_instant":
+            # in write_log's form, so that the line reaches the canonical path
+            record.setdefault("determinate", True)
+            keys = draw(st.sampled_from([("t_min",), ("t_max",), ("t_min", "t_max")]))
+            record.update(dict.fromkeys(keys, draw(st.sampled_from(_NO_INSTANTS))))
+            lines[index] = json.dumps(record, ensure_ascii=False)
+        elif kind == "escaped":
+            # JSON escapes, or a raw non-ASCII character, in an id or a label
+            record.setdefault("determinate", True)
+            char = draw(st.sampled_from(['"', "\\", "é", "\ud800"]))
+            key = draw(st.sampled_from(["case", "event", "activities"]))
+            if key == "activities":
+                record[key] = [*record[key], "x" + char]
+            else:
+                record[key] += char
+            # a lone surrogate cannot be written raw to a UTF-8 file
+            ascii_only = char == "\ud800" or draw(st.booleans())
+            lines[index] = json.dumps(record, ensure_ascii=ascii_only)
+        elif kind == "reshaped":
+            # write_log's line, but not in its exact form
+            record.setdefault("determinate", True)
+            text = json.dumps(record)
+            form = draw(st.sampled_from(["duplicate_key", "swapped_keys", "extra_key", "spaces"]))
+            if form == "duplicate_key":
+                text = text[:-1] + ', "case": "dup"}'
+            elif form == "swapped_keys":
+                items = list(record.items())
+                items[3], items[4] = items[4], items[3]
+                text = json.dumps(dict(items))
+            elif form == "extra_key":
+                text = json.dumps({**record, "extra": 1})
+            else:
+                lead, trail = draw(st.sampled_from([(" ", ""), ("", " "), ("  ", "\t")]))
+                text = lead + text + trail
+            lines[index] = text
         else:
             key = draw(st.sampled_from(["case", "event", "determinate", "activities"]))
-            record[key] = draw(st.sampled_from([7, None, "yes", "", ["a"]]))
+            record[key] = draw(st.sampled_from([7, None, "yes", "", ["a"], 1]))
         if kind in ("delete_key", "bad_timestamp", "non_string_label", "empty_activities",
                     "backwards", "odd_value"):
             lines[index] = json.dumps(record)
@@ -574,6 +685,54 @@ def test_read_log_matches_reference_reader(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("jsonl") / "log.jsonl"
     path.write_text(text, encoding="utf-8")
     assert _outcome(read_log, path) == _outcome(reference_read_log, path)
+
+
+@pytest.mark.parametrize("instant", _NO_INSTANTS)
+@pytest.mark.parametrize("keys", [("t_min",), ("t_max",), ("t_min", "t_max")])
+def test_canonical_line_without_an_instant_reads_as_the_reference(tmp_path, instant, keys):
+    record = {
+        "case": "c",
+        "event": "e",
+        "activities": ["a"],
+        "t_min": "2011-11-23T00:00:00.000Z",
+        "t_max": "2011-11-23T00:00:01.000Z",
+        "determinate": True,
+    }
+    record.update(dict.fromkeys(keys, instant))
+    path = tmp_path / "log.jsonl"
+    path.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+    assert _outcome(read_log, path) == _outcome(reference_read_log, path)
+
+
+def test_canonical_lines_skip_the_json_decoder(tmp_path, monkeypatch):
+    log = inject_activity_uncertainty(_random_log(11), 0.4, 11)
+    path = tmp_path / "log.jsonl"
+    write_log(log, path)
+    lines = path.read_text().splitlines()
+    compact = tmp_path / "compact.jsonl"
+    compact.write_text(
+        "".join(json.dumps(json.loads(line), separators=(",", ":")) + "\n" for line in lines)
+    )
+    calls = []
+    decode = logio._row_from_line
+
+    def counting_row_from_line(line, number, label_sets):
+        calls.append(number)
+        return decode(line, number, label_sets)
+
+    monkeypatch.setattr(logio, "_row_from_line", counting_row_from_line)
+    assert read_log(path) == log
+    assert calls == []
+    assert read_log(compact) == log
+    assert calls == list(range(1, len(lines) + 1))
+
+
+def test_read_log_forgets_instants_past_its_cache(tmp_path, monkeypatch):
+    log = _random_log(12)
+    path = tmp_path / "log.jsonl"
+    write_log(log, path)
+    monkeypatch.setattr(logio, "_INSTANTS_KEPT", 1)
+    assert read_log(path) == log
 
 
 def test_graph_path_makes_no_event_objects(tmp_path, monkeypatch):
