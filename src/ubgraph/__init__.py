@@ -5,7 +5,6 @@ from .model import (
     UncertainEvent,
     UncertainLog,
     UncertainTrace,
-    is_certain,
     make_trace,
     precedes,
     validate_log,
@@ -46,9 +45,7 @@ from .bench import (
     EquivalenceError,
     ScalingFit,
     fit_scaling_exponent,
-    run_length_experiment,
-    run_traces_experiment,
-    run_uncertainty_experiment,
+    run_experiment,
 )
 
 __version__ = "0.1.0"

@@ -3,22 +3,24 @@
 Each experiment varies one parameter (trace length, trace count, or the
 share of uncertain timestamps), generates a fresh seeded log per point,
 and times whole-log graph construction for both algorithms.  Per point
-the median of r repetitions is kept, after one untimed warm-up run;
-repetitions are interleaved across points so machine-speed drift does
-not bias the points measured last.  Log generation is never inside a
-timer, and every timed run ends with an edge-set comparison between the
-two algorithms; a mismatch aborts the experiment.
+the median of r repetitions is kept, after one untimed warm-up run that
+sets how often each sample repeats the build: a sample lasts at least
+MIN_SAMPLE_SECONDS and records seconds per build.  Repetitions are
+interleaved across points so machine-speed drift does not bias the
+points measured last.  Log generation is never inside a timer, and every
+timed run ends with an edge-set comparison between the two algorithms; a
+mismatch aborts the experiment.
 """
 
 from __future__ import annotations
 
 import gc
-import sys
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import median
-from typing import Callable, Mapping, Sequence, TextIO
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -29,6 +31,20 @@ ALGORITHMS: dict[str, Callable] = {
     "baseline": build_baseline,
     "sweep": build_sweep,
 }
+
+# "varies" names the setting the points set; the defaults are the
+# settings of acceptance criteria 4, 5 and 6
+EXPERIMENTS: dict[str, dict] = {
+    # criterion 4's window: below about 512 events the baseline's time is
+    # the numpy kernel's per-iteration overhead, not its cubic term
+    "length": {"varies": "length", "points": (512, 1024, 2048), "traces": 2, "p_time": 0.4},
+    "traces": {"varies": "traces", "points": (250, 500, 1000, 2000), "length": 50, "p_time": 0.4},
+    "uncertainty": {"varies": "p_time", "points": (0.0, 0.4, 0.8), "traces": 100, "length": 100},
+}
+
+# a timed sample shorter than this is at the mercy of one scheduler
+# tick or CPU speed switch on a shared host
+MIN_SAMPLE_SECONDS = 0.25
 
 
 class EquivalenceError(AssertionError):
@@ -68,41 +84,71 @@ def _check_equivalent(
             )
 
 
-def _timed_build(log: UncertainLog, build: Callable) -> tuple[float, list[BehaviorGraph]]:
+def _timed_build(
+    log: UncertainLog, build: Callable, repeats: int
+) -> tuple[float, list[BehaviorGraph]]:
     # collector pauses would otherwise land on arbitrary runs and swamp
     # the fast algorithm's measurements; start from a collected heap,
     # then keep the collector off while the clock runs
-    graphs: list[BehaviorGraph] = []
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
         start = time.perf_counter()
-        for trace in log.traces:
-            graphs.append(build(trace))
+        for _ in range(repeats):
+            graphs = [build(trace) for trace in log.traces]
         elapsed = time.perf_counter() - start
     finally:
         if was_enabled:
             gc.enable()
-    return elapsed, graphs
+    return elapsed / repeats, graphs
 
 
-def _experiment(
+def run_experiment(
     parameter: str,
-    values: Sequence[float],
-    make_log: Callable[[float], UncertainLog],
-    repetitions: int,
-    seed: int,
+    values: Sequence[float] | None = None,
+    *,
+    traces: int | None = None,
+    length: int | None = None,
+    p_time: float | None = None,
+    repetitions: int = 5,
+    seed: int = 0,
 ) -> BenchmarkResult:
+    """Construction time as one parameter of the generated log grows.
+
+    ``parameter`` names a row of EXPERIMENTS.  ``values`` are the points
+    of the parameter it varies; ``traces``, ``length`` and ``p_time``
+    fix the others.  Whatever is left as None comes from the row.
+    """
+    if parameter not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {parameter!r}; choose from {sorted(EXPERIMENTS)}")
+    row = EXPERIMENTS[parameter]
+    varies = row["varies"]
+    given = {"traces": traces, "length": length, "p_time": p_time}
+    if given.pop(varies) is not None:
+        raise ValueError(f"the {parameter} experiment varies {varies}; give its values as points")
+    fixed = {name: row[name] if value is None else value for name, value in given.items()}
+
+    def make_log(value: float) -> UncertainLog:
+        settings = {**fixed, varies: value}
+        spec = GenerationSpec(int(settings["traces"]), int(settings["length"]), seed=seed)
+        return inject_time_uncertainty(generate_certain_log(spec), settings["p_time"], seed)
+
+    values = row["points"] if values is None else values
     if not values:
         raise ValueError(f"no {parameter} values given")
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
     logs = [make_log(value) for value in values]
-    # untimed warm-up, also gating equivalence before any timing starts;
-    # released right away so timed runs see a similar heap at every point
+    # untimed warm-up, also gating equivalence before any timing starts
+    # and setting each sample's repeat count; released right away so
+    # timed runs see a similar heap at every point
+    repeats: dict[str, list[int]] = {name: [] for name in ALGORITHMS}
     for log in logs:
-        warm = {name: [build(trace) for trace in log.traces] for name, build in ALGORITHMS.items()}
+        warm = {}
+        for name, build in ALGORITHMS.items():
+            seconds, warm[name] = _timed_build(log, build, 1)
+            repeats[name].append(math.ceil(MIN_SAMPLE_SECONDS / seconds))
         _check_equivalent(warm["baseline"], warm["sweep"])
         del warm
     samples: dict[str, list[list[float]]] = {
@@ -115,9 +161,8 @@ def _experiment(
         for index, log in enumerate(logs):
             run: dict[str, list[BehaviorGraph]] = {}
             for name, build in ALGORITHMS.items():
-                seconds, graphs = _timed_build(log, build)
+                seconds, run[name] = _timed_build(log, build, repeats[name][index])
                 samples[name][index].append(seconds)
-                run[name] = graphs
             _check_equivalent(run["baseline"], run["sweep"])
     return BenchmarkResult(
         parameter=parameter,
@@ -129,54 +174,6 @@ def _experiment(
         repetitions=repetitions,
         seed=seed,
     )
-
-
-def run_length_experiment(
-    lengths: Sequence[int],
-    n_traces: int = 50,
-    p_time: float = 0.4,
-    repetitions: int = 5,
-    seed: int = 0,
-) -> BenchmarkResult:
-    """Construction time as the number of events per trace grows."""
-
-    def make_log(length: float) -> UncertainLog:
-        spec = GenerationSpec(n_traces=n_traces, trace_length=int(length), seed=seed)
-        return inject_time_uncertainty(generate_certain_log(spec), p_time, seed)
-
-    return _experiment("length", lengths, make_log, repetitions, seed)
-
-
-def run_traces_experiment(
-    trace_counts: Sequence[int],
-    trace_length: int = 50,
-    p_time: float = 0.4,
-    repetitions: int = 5,
-    seed: int = 0,
-) -> BenchmarkResult:
-    """Construction time as the number of traces grows (length fixed)."""
-
-    def make_log(count: float) -> UncertainLog:
-        spec = GenerationSpec(n_traces=int(count), trace_length=trace_length, seed=seed)
-        return inject_time_uncertainty(generate_certain_log(spec), p_time, seed)
-
-    return _experiment("traces", trace_counts, make_log, repetitions, seed)
-
-
-def run_uncertainty_experiment(
-    shares: Sequence[float],
-    n_traces: int = 100,
-    trace_length: int = 100,
-    repetitions: int = 5,
-    seed: int = 0,
-) -> BenchmarkResult:
-    """Construction time as the share of uncertain timestamps grows."""
-
-    def make_log(p: float) -> UncertainLog:
-        spec = GenerationSpec(n_traces=n_traces, trace_length=trace_length, seed=seed)
-        return inject_time_uncertainty(generate_certain_log(spec), p, seed)
-
-    return _experiment("uncertainty", shares, make_log, repetitions, seed)
 
 
 def check_fit_values(values: Sequence[float]) -> None:
@@ -235,7 +232,6 @@ def emit_report(
     result: BenchmarkResult,
     fits: Sequence[ScalingFit],
     destination: str | Path,
-    summary_stream: TextIO | None = None,
 ) -> int:
     """Write the per-point CSV and print the summary; returns CSV bytes."""
     rows = ["param,value,algorithm,seconds"]
@@ -244,6 +240,5 @@ def emit_report(
             rows.append(f"{result.parameter},{value:g},{name},{seconds!r}")
     data = ("\n".join(rows) + "\n").encode("utf-8")
     Path(destination).write_bytes(data)
-    stream = summary_stream if summary_stream is not None else sys.stdout
-    print(format_summary(result, fits), file=stream)
+    print(format_summary(result, fits))
     return len(data)

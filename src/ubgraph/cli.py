@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     udfg.set_defaults(handler=_cmd_udfg)
 
     bench = commands.add_parser("bench", help="run a scaling experiment")
-    bench.add_argument("mode", choices=["length", "traces", "uncertainty"])
+    bench.add_argument("mode", choices=sorted(bench_mod.EXPERIMENTS))
     bench.add_argument("--points", help="comma-separated parameter values")
     bench.add_argument("--traces", type=int)
     bench.add_argument("--length", type=int)
@@ -178,43 +178,28 @@ def _cmd_udfg(args: argparse.Namespace) -> int:
     return 0
 
 
-_BENCH_DEFAULTS = {
-    # criterion 4's window: below about 512 events the baseline's time is
-    # the numpy kernel's per-iteration overhead, not its cubic term
-    "length": {"points": "512,1024,2048", "traces": 2, "length": None, "p_time": 0.4},
-    "traces": {"points": "250,500,1000,2000", "traces": None, "length": 50, "p_time": 0.4},
-    "uncertainty": {"points": "0,0.4,0.8", "traces": 100, "length": 100, "p_time": None},
-}
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    defaults = _BENCH_DEFAULTS[args.mode]
-    for name, default in defaults.items():
-        # None marks the parameter the mode varies: --points sets it
-        if default is None and getattr(args, name) is not None:
-            option = "--" + name.replace("_", "-")
-            raise ValueError(f"bench {args.mode} varies {option}; give its values with --points")
-    points_text = args.points if args.points is not None else defaults["points"]
-    parse = float if args.mode == "uncertainty" else int
-    try:
-        points = [parse(part) for part in points_text.split(",") if part.strip()]
-    except ValueError:
-        kind = "numbers" if parse is float else "integers"
-        raise ValueError(
-            f"bad --points value {points_text!r}: bench {args.mode} takes {kind}"
-        ) from None
+    experiment = bench_mod.EXPERIMENTS[args.mode]
+    if getattr(args, experiment["varies"]) is not None:
+        option = "--" + experiment["varies"].replace("_", "-")
+        raise ValueError(f"bench {args.mode} varies {option}; give its values with --points")
+    points = experiment["points"]
+    if args.points is not None:
+        parse = float if args.mode == "uncertainty" else int
+        try:
+            points = [parse(part) for part in args.points.split(",") if part.strip()]
+        except ValueError:
+            kind = "numbers" if parse is float else "integers"
+            raise ValueError(
+                f"bad --points value {args.points!r}: bench {args.mode} takes {kind}"
+            ) from None
     fit = len(points) >= 3 and args.mode != "uncertainty"
     if fit:
         bench_mod.check_fit_values(points)
-    traces = args.traces if args.traces is not None else defaults["traces"]
-    length = args.length if args.length is not None else defaults["length"]
-    p_time = args.p_time if args.p_time is not None else defaults["p_time"]
-    if args.mode == "length":
-        result = bench_mod.run_length_experiment(points, traces, p_time, args.reps, args.seed)
-    elif args.mode == "traces":
-        result = bench_mod.run_traces_experiment(points, length, p_time, args.reps, args.seed)
-    else:
-        result = bench_mod.run_uncertainty_experiment(points, traces, length, args.reps, args.seed)
+    result = bench_mod.run_experiment(
+        args.mode, points, traces=args.traces, length=args.length, p_time=args.p_time,
+        repetitions=args.reps, seed=args.seed,
+    )
     fits = [fit_scaling_exponent(result, name) for name in sorted(result.times)] if fit else []
     bench_mod.emit_report(result, fits, args.report)
     return 0

@@ -20,7 +20,7 @@ is represented by a degenerate interval (t_min == t_max).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, gt
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -33,8 +33,9 @@ class UncertainEvent:
     ``activities`` is the set of labels the event may have carried (a
     singleton for a certain label).  ``t_min``/``t_max`` bound the true
     timestamp, in epoch milliseconds; they must be Python ``int``, not
-    ``bool`` and not a numpy integer.  ``determinate`` is False when the
-    event may not have happened at all; it must be a Python ``bool``.
+    ``bool`` and not a numpy integer.  The id and the labels must be
+    Python ``str``.  ``determinate`` is False when the event may not have
+    happened at all; it must be a Python ``bool``.
     """
 
     event_id: str
@@ -112,12 +113,15 @@ class UncertainTrace:
         if not len(activities) == len(t_min) == len(t_max) == len(determinate) == n:
             raise ValueError(f"trace {case_id!r}: columns of different lengths")
         # the position breaks ties, so rows never compare past the id
-        rows = sorted(zip(t_min, t_max, event_ids, range(n), activities, determinate))
+        try:
+            rows = sorted(zip(t_min, t_max, event_ids, range(n), activities, determinate))
+        except TypeError:  # types that do not compare: the rules refuse them
+            rows = list(zip(t_min, t_max, event_ids, range(n), activities, determinate))
         if rows:
             t_min, t_max, event_ids, _, activities, determinate = zip(*rows)
         # frozenset() of a frozenset is the same object
         activities = tuple(map(frozenset, activities))
-        violations = _violations(event_ids, activities, t_min, t_max, determinate)
+        violations = _violations(case_id, event_ids, activities, t_min, t_max, determinate)
         if violations:
             raise InvalidTraceError(case_id, violations)
         setter = object.__setattr__
@@ -233,6 +237,8 @@ def validate_trace(trace: UncertainTrace) -> list[str]:
     with the whole list, so for any trace that exists the result is
     empty.
 
+    The case id, the event ids and the activity labels must be Python
+    ``str``, since the JSONL and DOT writers write text.
     Timestamps must be Python ``int``.  ``bool`` is refused although it
     subclasses ``int``, and so are numpy integers, which the JSONL
     writer cannot format.  They must also lie in the range the writer
@@ -242,6 +248,7 @@ def validate_trace(trace: UncertainTrace) -> list[str]:
     would write any truthy value as ``true``.
     """
     return _violations(
+        trace.case_id,
         trace.event_ids,
         trace.activities,
         trace.t_min.tolist(),
@@ -251,20 +258,37 @@ def validate_trace(trace: UncertainTrace) -> list[str]:
 
 
 def _violations(
+    case_id: str,
     event_ids: Sequence[str],
     activities: Sequence[frozenset[str]],
     t_min: Sequence[int],
     t_max: Sequence[int],
     determinate: Sequence[bool],
 ) -> list[str]:
-    # the rules of validate_trace, over columns in canonical order;
-    # every trace built pays this loop
+    # the rules of validate_trace, over columns in canonical order, tested
+    # on whole columns; only a trace that fails a test is walked, to name
+    # the events
+    if (
+        type(case_id) is str
+        and set(map(type, event_ids)) <= {str}
+        and len(set(event_ids)) == len(event_ids)
+        and "" not in event_ids
+        and set(map(type, frozenset().union(*activities))) <= {str}
+        and all(activities)
+        and {*map(type, t_min), *map(type, t_max)} <= {int}
+        and not any(map(gt, t_min, t_max))
+        and (not len(t_min) or MIN_TIMESTAMP_MS <= min(t_min) and max(t_max) <= MAX_TIMESTAMP_MS)
+        and set(map(type, determinate)) <= {bool}
+    ):
+        return []
     violations: list[str] = []
+    if type(case_id) is not str:
+        violations.append(f"case id {case_id!r} is not a string")
     seen: set[str] = set()
-    lowest, highest = MIN_TIMESTAMP_MS, MAX_TIMESTAMP_MS
-    rows = zip(event_ids, activities, t_min, t_max, determinate)
-    for event_id, labels, low, high, flag in rows:
-        if not event_id:
+    for event_id, labels, low, high, flag in zip(event_ids, activities, t_min, t_max, determinate):
+        if type(event_id) is not str:
+            violations.append(f"event id {event_id!r} is not a string")
+        elif not event_id:
             violations.append("empty event id")
         elif event_id in seen:
             violations.append(f"duplicate event id {event_id}")
@@ -272,15 +296,18 @@ def _violations(
             seen.add(event_id)
         if not labels:
             violations.append(f"event {event_id} has no activity labels")
-        if not isinstance(low, int) or not isinstance(high, int):
+        elif not set(map(type, labels)) <= {str}:
+            violations.append(f"event {event_id} has an activity label that is not a string")
+        kinds = {type(low), type(high)}
+        if not kinds <= {int, bool}:
             violations.append(f"event {event_id} has non-integer timestamps")
-        elif isinstance(low, bool) or isinstance(high, bool):
+        elif bool in kinds:
             violations.append(f"event {event_id} has bool timestamps")
         elif low > high:
             violations.append(f"event {event_id} has t_min {low} > t_max {high}")
-        elif low < lowest or high > highest:
+        elif low < MIN_TIMESTAMP_MS or high > MAX_TIMESTAMP_MS:
             violations.append(f"event {event_id} has timestamps outside years 1 to 9999")
-        if flag is not True and flag is not False:
+        if type(flag) is not bool:
             violations.append(f"event {event_id} has a non-bool determinate flag")
     return violations
 
@@ -303,11 +330,6 @@ def validate_log(log: UncertainLog) -> list[str]:
                 violations.append(f"event id {event_id} appears in more than one trace")
             seen_events.add(event_id)
     return violations
-
-
-def is_certain(event: UncertainEvent) -> bool:
-    """True when the event's timestamp is a single known instant."""
-    return event.t_min == event.t_max
 
 
 def precedes(v: UncertainEvent, w: UncertainEvent) -> bool:

@@ -125,17 +125,17 @@ def _realizations(trace: UncertainTrace) -> Iterator[tuple[tuple[str, ...], list
     linear extension of the events kept, it yields the event ids in
     execution order and, per position, that event's labels sorted.  The
     realizations are the label choices over each yielded sequence.  The
-    full trace's extensions, computed for the bound, serve the empty
-    drop.
+    trace's orders are enumerated once; dropping events from them gives
+    the orders of the events kept (exact: the order is transitive).
     """
-    events = trace.events
-    if len(events) > MAX_REALIZATION_EVENTS:
+    if len(trace) > MAX_REALIZATION_EVENTS:
         raise SizeLimitError(
-            f"trace {trace.case_id!r} has {len(events)} events; realization "
+            f"trace {trace.case_id!r} has {len(trace)} events; realization "
             f"enumeration is limited to {MAX_REALIZATION_EVENTS}"
         )
+    events = trace.events
     extensions_all = _extensions(events)
-    indeterminate = [e for e in events if not e.determinate]
+    indeterminate = [e.event_id for e in events if not e.determinate]
     bound = (
         prod(len(e.activities) for e in events)
         * 2 ** len(indeterminate)
@@ -146,18 +146,17 @@ def _realizations(trace: UncertainTrace) -> Iterator[tuple[tuple[str, ...], list
             f"trace {trace.case_id!r} admits up to {bound} realizations; "
             f"enumeration is limited to {MAX_REALIZATIONS}"
         )
-    required = {e.event_id for e in events if e.determinate}
     labels = {e.event_id: sorted(e.activities) for e in events}
     for k in range(len(indeterminate) + 1):
         for dropped in combinations(indeterminate, k):
             if k:
-                kept = tuple(e for e in events if e.determinate or e not in dropped)
-                sequences = _extensions(kept)
+                sequences = {
+                    tuple(i for i in sequence if i not in dropped)
+                    for sequence in extensions_all
+                }
             else:
                 sequences = extensions_all
             for sequence in sequences:
-                # sanity: each determinate event appears exactly once
-                assert required <= set(sequence) and len(sequence) == len(set(sequence))
                 yield sequence, [labels[event_id] for event_id in sequence]
 
 

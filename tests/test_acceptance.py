@@ -26,13 +26,7 @@ import time
 
 import pytest
 from conftest import FIVE_EVENT_EDGES, SIX_EVENT_EDGES
-from ubgraph.bench import (
-    BenchmarkResult,
-    fit_scaling_exponent,
-    run_length_experiment,
-    run_traces_experiment,
-    run_uncertainty_experiment,
-)
+from ubgraph.bench import BenchmarkResult, fit_scaling_exponent, run_experiment
 from ubgraph.graph import backend_name, build_baseline, build_sweep
 from ubgraph.loggen import (
     GenerationSpec,
@@ -46,9 +40,12 @@ from ubgraph.oracle import covering_relation, possible_immediate_successor, udfg
 
 CRITERION_LINES: list[str] = []
 
-# criterion 4's window, also the default of `ubgraph bench length`
-CRITERION_4_LENGTHS = (512, 1024, 2048)
-CRITERION_4_TRACES = 2
+# the settings of criteria 4-6: the points of the parameter each one
+# varies, and the settings it holds fixed; `ubgraph bench length`,
+# `bench traces` and `bench uncertainty` default to them
+CRITERION_4 = {"values": (512, 1024, 2048), "traces": 2, "p_time": 0.4}
+CRITERION_5 = {"values": (250, 500, 1000, 2000), "length": 50, "p_time": 0.4}
+CRITERION_6 = {"values": (0.0, 0.4, 0.8), "traces": 100, "length": 100}
 
 
 def _verdict(number: int, name: str, passed: bool, detail: str) -> str:
@@ -149,11 +146,9 @@ def length_scaling_verdict(result: BenchmarkResult) -> tuple[bool, str]:
 
 
 def test_criterion_4_length_scaling():
-    lengths, n_traces = list(CRITERION_4_LENGTHS), CRITERION_4_TRACES
+    lengths, n_traces = CRITERION_4["values"], CRITERION_4["traces"]
     start = time.perf_counter()
-    result = run_length_experiment(
-        lengths, n_traces=n_traces, p_time=0.4, repetitions=5, seed=0
-    )
+    result = run_experiment("length", **CRITERION_4, repetitions=5, seed=0)
     scaling_ok, measured = length_scaling_verdict(result)
     elapsed = time.perf_counter() - start
     passed = scaling_ok and elapsed < 300.0
@@ -169,16 +164,11 @@ def test_criterion_4_length_scaling():
 
 def test_criterion_5_trace_count_linearity():
     # a median of 11 keeps one speed switch of a shared host's CPU from
-    # moving the ratio; the samples at 500 traces last about 0.15 s each
+    # moving the ratio; each sample repeats the whole-log build for at
+    # least bench.MIN_SAMPLE_SECONDS
     repetitions = 11
     start = time.perf_counter()
-    result = run_traces_experiment(
-        [250, 500, 1000, 2000],
-        trace_length=50,
-        p_time=0.4,
-        repetitions=repetitions,
-        seed=0,
-    )
+    result = run_experiment("traces", **CRITERION_5, repetitions=repetitions, seed=0)
     at_500 = result.values.index(500.0)
     at_2000 = result.values.index(2000.0)
     ratios = {
@@ -203,13 +193,7 @@ def test_criterion_6_uncertainty_sensitivity():
     # each crossed their limits now and then on a shared host
     repetitions = 15
     start = time.perf_counter()
-    result = run_uncertainty_experiment(
-        [0.0, 0.4, 0.8],
-        n_traces=100,
-        trace_length=100,
-        repetitions=repetitions,
-        seed=0,
-    )
+    result = run_experiment("uncertainty", **CRITERION_6, repetitions=repetitions, seed=0)
     sweep = result.times["sweep"]
     baseline = result.times["baseline"]
     spread = max(sweep) / min(sweep)

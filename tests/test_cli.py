@@ -4,6 +4,7 @@ import csv
 import json
 
 import pytest
+from test_acceptance import CRITERION_4, CRITERION_5, CRITERION_6
 
 from ubgraph import (
     BehaviorGraph,
@@ -336,19 +337,29 @@ def test_bench_writes_report(tmp_path, capsys):
     assert "fitted exponent" in out
 
 
-def test_bench_length_defaults_are_criterion_4s(tmp_path, monkeypatch):
-    from test_acceptance import CRITERION_4_LENGTHS, CRITERION_4_TRACES
-
+@pytest.mark.parametrize(
+    "mode, criterion",
+    [("length", CRITERION_4), ("traces", CRITERION_5), ("uncertainty", CRITERION_6)],
+    ids=["length", "traces", "uncertainty"],
+)
+def test_bench_defaults_are_the_criteria_settings(tmp_path, monkeypatch, mode, criterion):
     calls = []
 
-    def fake_experiment(lengths, n_traces, p_time, repetitions, seed):
-        calls.append((lengths, n_traces))
-        values = tuple(float(v) for v in lengths)
-        return BenchmarkResult("length", values, {"sweep": values}, repetitions, seed)
+    def fake_experiment(parameter, values=None, **settings):
+        calls.append((parameter, values, settings))
+        values = tuple(float(v) for v in values)
+        return BenchmarkResult(parameter, values, {"sweep": values}, 5, 0)
 
-    monkeypatch.setattr(bench, "run_length_experiment", fake_experiment)
-    assert run(["bench", "length", "--seed", "0", "--report", str(tmp_path / "r.csv")]) == 0
-    assert calls == [(list(CRITERION_4_LENGTHS), CRITERION_4_TRACES)]
+    monkeypatch.setattr(bench, "run_experiment", fake_experiment)
+    assert run(["bench", mode, "--seed", "0", "--report", str(tmp_path / "r.csv")]) == 0
+    [(parameter, values, settings)] = calls
+    # the table's points, and no fixed setting of the CLI's own
+    assert parameter == mode and list(values) == list(criterion["values"])
+    assert settings == {"traces": None, "length": None, "p_time": None,
+                        "repetitions": 5, "seed": 0}
+    row = bench.EXPERIMENTS[mode]
+    fixed = {name: value for name, value in criterion.items() if name != "values"}
+    assert {name: row[name] for name in fixed} == fixed
 
 
 def test_bench_uncertainty_mode(tmp_path, capsys):
@@ -381,11 +392,10 @@ def test_bench_bad_points_exit_one(tmp_path, capsys):
     ],
 )
 def test_bench_refuses_options_it_would_ignore(tmp_path, capsys, monkeypatch, mode, options, message):
-    def no_experiment(*args):
+    def no_experiment(*args, **kwargs):
         raise AssertionError("the experiment ran")
 
-    for name in ("run_length_experiment", "run_traces_experiment", "run_uncertainty_experiment"):
-        monkeypatch.setattr(bench, name, no_experiment)
+    monkeypatch.setattr(bench, "run_experiment", no_experiment)
     report = tmp_path / "r.csv"
     assert run(["bench", mode, *options, "--seed", "1", "--report", str(report)]) == 1
     err = capsys.readouterr().err

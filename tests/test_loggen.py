@@ -12,7 +12,6 @@ from ubgraph import (
     inject_activity_uncertainty,
     inject_indeterminacy,
     inject_time_uncertainty,
-    is_certain,
     validate_log,
 )
 from ubgraph.cli import run
@@ -32,7 +31,7 @@ def test_certain_log_shape():
         assert len(trace) == 10
         times = [e.t_min for e in trace.events]
         assert times == [(k + 1) * 1000 for k in range(10)]
-        assert all(is_certain(e) and e.determinate for e in trace.events)
+        assert all(e.t_min == e.t_max and e.determinate for e in trace.events)
         assert all(len(e.activities) == 1 for e in trace.events)
 
 
@@ -62,7 +61,7 @@ def test_time_injection_share_is_exact():
     for p, expected in [(0.0, 0), (0.25, 2), (0.5, 5), (0.7, 7), (1.0, 10)]:
         injected = inject_time_uncertainty(log, p, seed=3)
         for trace in injected.traces:
-            widened = [e for e in trace.events if not is_certain(e)]
+            widened = [e for e in trace.events if e.t_min != e.t_max]
             assert len(widened) == expected
 
 

@@ -11,7 +11,6 @@ from ubgraph import (
     UncertainEvent,
     UncertainLog,
     UncertainTrace,
-    is_certain,
     precedes,
     validate_log,
     validate_trace,
@@ -59,6 +58,10 @@ def test_validate_duplicate_id():
     assert _violations(_event("e1", 0, 0), _event("e1", 5, 5)) == [
         "duplicate event id e1"
     ]
+
+
+def test_validate_empty_id():
+    assert _violations(_event("", 0, 0), _event("e1", 5, 5)) == ["empty event id"]
 
 
 def test_validate_empty_activities():
@@ -112,6 +115,32 @@ def test_validate_timestamps_outside_the_writer_range(t_min, t_max):
     assert _violations(_event("e1", t_min, t_max)) == [
         "event e1 has timestamps outside years 1 to 9999"
     ]
+
+
+@pytest.mark.parametrize(
+    "case_id, events, expected",
+    [
+        # timestamps that do not compare with the other events' ints
+        ("c", [_event("a", "5", "6"), _event("b", 1, 2)], ["event a has non-integer timestamps"]),
+        # an id that does not compare with the str id it ties with
+        ("c", [_event(None, 1, 2), _event("b", 1, 2)], ["event id None is not a string"]),
+        ("c", [_event(7, 1, 2), _event("b", 3, 4)], ["event id 7 is not a string"]),
+        ("c", [_event("a", 1, 2, labels=(3, "x"))],
+         ["event a has an activity label that is not a string"]),
+        (5, [_event("a", 1, 2)], ["case id 5 is not a string"]),
+    ],
+    ids=["str-timestamps", "none-id", "int-id", "int-label", "int-case-id"],
+)
+def test_values_that_are_not_text_or_ints_are_refused_naming_them(case_id, events, expected):
+    # the writers would fail on these later: JSONL with TypeError, DOT
+    # with AttributeError
+    for build in (
+        lambda: UncertainTrace(case_id, events),
+        lambda: UncertainTrace.from_columns(case_id, *_columns(events)),
+    ):
+        with pytest.raises(InvalidTraceError) as caught:
+            build()
+        assert caught.value.violations == expected
 
 
 def test_validate_range_ends_are_accepted():
@@ -206,11 +235,6 @@ def test_validate_log_cross_trace_duplicates():
     )
     violations = validate_log(log)
     assert any("more than one trace" in v for v in violations)
-
-
-def test_is_certain():
-    assert is_certain(_event("x", 5, 5))
-    assert not is_certain(_event("x", 5, 6))
 
 
 def test_precedes_requires_strict_gap():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,6 +16,7 @@ from ubgraph import (
     enumerate_realizations,
     linear_extensions,
     possible_immediate_successor,
+    precedes,
     udfg_bounds_log,
     udfg_bounds_trace,
 )
@@ -57,6 +59,26 @@ def small_traces(draw, max_events: int = 7):
         labels = draw(st.sets(st.sampled_from("abc"), min_size=1, max_size=3))
         events.append(_event(f"e{i}", t_min, t_max, labels, draw(st.booleans())))
     return UncertainTrace("t", tuple(events))
+
+
+def brute_force_realizations(trace):
+    """Realizations by brute force: every permutation of every kept subset.
+
+    A subset is kept when it holds every determinate event; a
+    permutation counts when no later event precedes an earlier one.
+    """
+    events = trace.events
+    indeterminate = [e for e in events if not e.determinate]
+    found = set()
+    for k in range(len(indeterminate) + 1):
+        for dropped in combinations(indeterminate, k):
+            kept = [e for e in events if e not in dropped]
+            for order in permutations(kept):
+                if any(precedes(w, v) for i, v in enumerate(order) for w in order[i + 1:]):
+                    continue
+                for chosen in product(*(sorted(e.activities) for e in order)):
+                    found.add(tuple((e.event_id, label) for e, label in zip(order, chosen)))
+    return frozenset(found)
 
 
 def test_covering_golden(five_event_trace, six_event_trace):
@@ -190,6 +212,20 @@ def test_udfg_bounds_match_reference(trace):
         assert str(raised.value) == str(refusal)
     else:
         assert udfg_bounds_trace(trace) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_traces())
+def test_realizations_match_brute_force(trace):
+    # each kept subset's orders are the whole trace's orders restricted to
+    # it; the brute force enumerates them directly.  Large realization
+    # sets take the same path as small ones and would only slow the test.
+    try:
+        realizations = enumerate_realizations(trace)
+    except SizeLimitError:
+        assume(False)
+    assume(len(realizations) <= 20_000)
+    assert realizations == brute_force_realizations(trace)
 
 
 def test_udfg_refuses_long_trace():
