@@ -15,7 +15,6 @@ from .graph import (
     backend_name,
     build_baseline,
     build_sweep,
-    reachable,
 )
 from .oracle import (
     SizeLimitError,

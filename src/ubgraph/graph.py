@@ -194,28 +194,3 @@ def build_sweep(trace: UncertainTrace) -> BehaviorGraph:
     dst = np.arange(len(src)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
     return BehaviorGraph(trace, src, dst)
 
-
-def reachable(graph: BehaviorGraph, source: str, target: str) -> bool:
-    """True when a directed path (possibly empty) leads source -> target.
-
-    Every vertex reaches itself.  Unknown vertices raise ValueError.
-    """
-    for vertex in (source, target):
-        if vertex not in graph.vertices:
-            raise ValueError(f"unknown vertex {vertex!r}")
-    if source == target:
-        return True
-    successors: dict[str, list[str]] = {}
-    for v, w in graph.edges:
-        successors.setdefault(v, []).append(w)
-    frontier = [source]
-    seen = {source}
-    while frontier:
-        vertex = frontier.pop()
-        for nxt in successors.get(vertex, ()):
-            if nxt == target:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return False

@@ -159,6 +159,13 @@ def _row_from_line(
         raise LogFormatError(f"line {number}: activities must be a list of strings")
     if not activities:
         raise LogFormatError(f"line {number}: event {event_id} has no activity labels")
+    try:
+        # a JSON escape can spell a lone surrogate, which no UTF-8 output can hold
+        "".join((case_id, event_id, *activities)).encode("utf-8")
+    except UnicodeEncodeError as err:
+        raise LogFormatError(
+            f"line {number}: case, event and labels must be UTF-8 text ({err.reason})"
+        ) from err
     if not isinstance(determinate, bool):
         raise LogFormatError(f"line {number}: determinate must be a boolean")
     try:
@@ -203,7 +210,7 @@ class _Instants(dict):
 
     def __missing__(self, text: str) -> int | None:
         try:
-            instant = (datetime.fromisoformat(text) - _NAIVE_EPOCH) // _MS
+            instant = parse_timestamp(text + "Z")
         except ValueError:
             instant = None
         if len(self) >= _INSTANTS_KEPT:
@@ -212,7 +219,6 @@ class _Instants(dict):
         return instant
 
 
-_NAIVE_EPOCH = datetime(1970, 1, 1)
 _INSTANTS_KEPT = 4096
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter, gt
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,7 +31,8 @@ class UncertainEvent:
     """A single recorded event.
 
     ``activities`` is the set of labels the event may have carried (a
-    singleton for a certain label).  ``t_min``/``t_max`` bound the true
+    singleton for a certain label), given as any collection of ``str``
+    but a ``str`` itself.  ``t_min``/``t_max`` bound the true
     timestamp, in epoch milliseconds; they must be Python ``int``, not
     ``bool`` and not a numpy integer.  The id and the labels must be
     Python ``str``.  ``determinate`` is False when the event may not have
@@ -45,9 +46,11 @@ class UncertainEvent:
     determinate: bool = True
 
     def __post_init__(self) -> None:
-        # accept any iterable of labels; store a frozenset
-        if not isinstance(self.activities, frozenset):
-            object.__setattr__(self, "activities", frozenset(self.activities))
+        # store a collection of labels as a frozenset; a str (whose letters
+        # are no labels) or a non-collection is kept for a trace to refuse
+        labels = self.activities
+        if not isinstance(labels, (str, frozenset)) and isinstance(labels, Collection):
+            object.__setattr__(self, "activities", frozenset(labels))
 
 
 _EVENT_FIELDS = attrgetter("event_id", "activities", "t_min", "t_max", "determinate")
@@ -71,7 +74,7 @@ class UncertainTrace:
     from event objects, and ``UncertainTrace.from_columns`` from one
     sequence per attribute, which never makes an event object.  The
     first takes the events' columns and runs the body of the second,
-    so both sort, check and store the same way.  The ``events`` tuple
+    so both check, sort and store the same way.  The ``events`` tuple
     is built on first access, and kept.  Equality and hashing compare
     the case id and the columns.
 
@@ -92,43 +95,39 @@ class UncertainTrace:
         cls,
         case_id: str,
         event_ids: Sequence[str],
-        activities: Sequence[Iterable[str]],
+        activities: Sequence[Collection[str]],
         t_min: Sequence[int],
         t_max: Sequence[int],
         determinate: Sequence[bool],
     ) -> UncertainTrace:
         """The trace whose event k has the k-th entry of every column.
 
-        The columns may come in any order; they are sorted into the
-        canonical one.  Timestamps must be Python ``int``, as for
-        ``UncertainEvent``.
+        The columns may come in any order; they are checked as given,
+        then sorted into the canonical one.  Each label set is a
+        collection of ``str`` but not a ``str``, and timestamps must be
+        Python ``int``, as for ``UncertainEvent``.
         """
         trace = cls.__new__(cls)
         trace._fill(case_id, event_ids, activities, t_min, t_max, determinate)
         return trace
 
     def _fill(self, case_id, event_ids, activities, t_min, t_max, determinate) -> None:
-        # sort the rows into canonical order, check them, then keep them
-        n = len(event_ids)
-        if not len(activities) == len(t_min) == len(t_max) == len(determinate) == n:
+        # check the columns as given, convert the label sets, then sort the
+        # rows into canonical order and keep them
+        if not len(event_ids) == len(activities) == len(t_min) == len(t_max) == len(determinate):
             raise ValueError(f"trace {case_id!r}: columns of different lengths")
-        # the position breaks ties, so rows never compare past the id
-        try:
-            rows = sorted(zip(t_min, t_max, event_ids, range(n), activities, determinate))
-        except TypeError:  # types that do not compare: the rules refuse them
-            rows = list(zip(t_min, t_max, event_ids, range(n), activities, determinate))
-        if rows:
-            t_min, t_max, event_ids, _, activities, determinate = zip(*rows)
-        # frozenset() of a frozenset is the same object
-        activities = tuple(map(frozenset, activities))
         violations = _violations(case_id, event_ids, activities, t_min, t_max, determinate)
         if violations:
             raise InvalidTraceError(case_id, violations)
+        # checked ids are unique strings, so rows never compare past the id;
+        # frozenset() of a frozenset is the same object
+        rows = sorted(zip(t_min, t_max, event_ids, map(frozenset, activities), determinate))
+        t_min, t_max, event_ids, activities, determinate = tuple(zip(*rows)) or ((),) * 5
         setter = object.__setattr__
         setter(self, "case_id", case_id)
-        setter(self, "event_ids", tuple(event_ids))
+        setter(self, "event_ids", event_ids)
         setter(self, "activities", activities)
-        setter(self, "determinate", tuple(determinate))
+        setter(self, "determinate", determinate)
         bounds = np.array((t_min, t_max), dtype=np.int64)
         bounds.flags.writeable = False
         setter(self, "t_min", bounds[0])
@@ -232,13 +231,15 @@ def validate_trace(trace: UncertainTrace) -> list[str]:
     """The rule every trace obeys; returns the list of violations.
 
     An empty list means the trace is valid.  Each violation names the
-    offending event id and the rule it breaks.  Both ways of building
-    an ``UncertainTrace`` run these rules and raise InvalidTraceError
-    with the whole list, so for any trace that exists the result is
-    empty.
+    offending event id and the rule it breaks, in the columns' order.
+    Both ways of building an ``UncertainTrace`` run these rules on the
+    caller's columns and raise InvalidTraceError with the whole list,
+    so for any trace that exists the result is empty.
 
     The case id, the event ids and the activity labels must be Python
-    ``str``, since the JSONL and DOT writers write text.
+    ``str``, since the JSONL and DOT writers write text.  A label set
+    is a collection of labels but not a ``str``, whose letters would
+    otherwise pass for labels.
     Timestamps must be Python ``int``.  ``bool`` is refused although it
     subclasses ``int``, and so are numpy integers, which the JSONL
     writer cannot format.  They must also lie in the range the writer
@@ -260,19 +261,20 @@ def validate_trace(trace: UncertainTrace) -> list[str]:
 def _violations(
     case_id: str,
     event_ids: Sequence[str],
-    activities: Sequence[frozenset[str]],
+    activities: Sequence[Collection[str]],
     t_min: Sequence[int],
     t_max: Sequence[int],
     determinate: Sequence[bool],
 ) -> list[str]:
-    # the rules of validate_trace, over columns in canonical order, tested
-    # on whole columns; only a trace that fails a test is walked, to name
-    # the events
+    # the rules of validate_trace, over columns in the caller's order,
+    # tested on whole columns of frozenset label sets; any other trace is
+    # walked, to name the events
     if (
         type(case_id) is str
         and set(map(type, event_ids)) <= {str}
         and len(set(event_ids)) == len(event_ids)
         and "" not in event_ids
+        and set(map(type, activities)) <= {frozenset}
         and set(map(type, frozenset().union(*activities))) <= {str}
         and all(activities)
         and {*map(type, t_min), *map(type, t_max)} <= {int}
@@ -294,7 +296,9 @@ def _violations(
             violations.append(f"duplicate event id {event_id}")
         else:
             seen.add(event_id)
-        if not labels:
+        if isinstance(labels, str) or not isinstance(labels, Collection):
+            violations.append(f"event {event_id} has activities that are not a set of labels")
+        elif not labels:
             violations.append(f"event {event_id} has no activity labels")
         elif not set(map(type, labels)) <= {str}:
             violations.append(f"event {event_id} has an activity label that is not a string")

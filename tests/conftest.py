@@ -14,7 +14,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from ubgraph import UncertainEvent, UncertainTrace, build_baseline, build_sweep
+from ubgraph import BehaviorGraph, UncertainEvent, UncertainTrace, build_baseline, build_sweep
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
@@ -80,6 +80,32 @@ def six_event_trace() -> UncertainTrace:
             UncertainEvent("e6", frozenset({"f"}), day(12), day(13)),
         ),
     )
+
+
+def reachable(graph: BehaviorGraph, source: str, target: str) -> bool:
+    """True when a directed path (possibly empty) leads source -> target.
+
+    Every vertex reaches itself.  Unknown vertices raise ValueError.
+    """
+    for vertex in (source, target):
+        if vertex not in graph.vertices:
+            raise ValueError(f"unknown vertex {vertex!r}")
+    if source == target:
+        return True
+    successors: dict[str, list[str]] = {}
+    for v, w in graph.edges:
+        successors.setdefault(v, []).append(w)
+    frontier = [source]
+    seen = {source}
+    while frontier:
+        vertex = frontier.pop()
+        for nxt in successors.get(vertex, ()):
+            if nxt == target:
+                return True
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return False
 
 
 # behavior graph edge sets of the two fixtures, worked out by hand and

@@ -305,6 +305,26 @@ def test_undecodable_line_exits_one_naming_the_line(tmp_path, capsys, line):
     assert err.startswith("error: line 3: not valid JSON (") and err.endswith(")\n")
 
 
+@pytest.mark.parametrize("command", ["graph-sweep-dot", "udfg", "check-oracle"])
+def test_lone_surrogate_label_exits_one_naming_the_line(tmp_path, capsys, command):
+    # a JSON escape spells the surrogate; no DOT, CSV or terminal output
+    # could encode it, so the reader refuses it before anything is written
+    log_path = _generate(tmp_path, **{"--traces": "3"})
+    records = [json.loads(line) for line in log_path.read_text().splitlines()]
+    number = next(k for k, record in enumerate(records, start=1) if record["case"] == "c2")
+    records[number - 1]["activities"] = ["\ud800"]
+    log_path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    capsys.readouterr()
+    argv = [part.format(tmp=tmp_path) for part in _SUBCOMMANDS[command]]
+    assert run([*argv, "--in", str(log_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: line {number}: case, event and labels must be UTF-8 text "
+        "(surrogates not allowed)\n"
+    )
+    assert not (tmp_path / "dot").exists()
+
+
 def test_import_csv_round_trip(tmp_path, capsys):
     source = tmp_path / "events.csv"
     source.write_text("case,activity,timestamp\n945,a,05-12-2011\n945,b,07-12-2011\n")

@@ -8,6 +8,7 @@ hardest cases for the sweep, appear constantly.
 
 from __future__ import annotations
 
+from conftest import reachable
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,6 @@ from ubgraph import (
     covering_relation,
     linear_extensions,
     precedes,
-    reachable,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None)

@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from conftest import FIVE_EVENT_EDGES, SIX_EVENT_EDGES
+from conftest import FIVE_EVENT_EDGES, SIX_EVENT_EDGES, reachable
 
 from ubgraph import (
     BehaviorGraph,
@@ -12,7 +12,6 @@ from ubgraph import (
     UncertainTrace,
     build_baseline,
     build_sweep,
-    reachable,
 )
 from ubgraph import graph as graph_module
 from ubgraph.oracle import SizeLimitError

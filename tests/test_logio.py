@@ -84,6 +84,11 @@ def _reference_event(line: str, number: int) -> tuple[str, UncertainEvent]:
         raise LogFormatError(f"line {number}: activities must be a list of strings")
     if not activities:
         raise LogFormatError(f"line {number}: event {event_id} has no activity labels")
+    # the surrogates are the only code points that UTF-8 cannot encode
+    if any("\ud800" <= char <= "\udfff" for text in (case_id, event_id, *activities) for char in text):
+        raise LogFormatError(
+            f"line {number}: case, event and labels must be UTF-8 text (surrogates not allowed)"
+        )
     if not isinstance(determinate, bool):
         raise LogFormatError(f"line {number}: determinate must be a boolean")
     try:
@@ -309,6 +314,27 @@ def test_read_reports_every_violation_in_one_error(tmp_path):
         "duplicate event id x; duplicate event id y; "
         "event id z appears in more than one trace"
     )
+
+
+def test_read_reports_the_violations_of_one_case_in_line_order(tmp_path):
+    # the trace checks its columns before it sorts them, so an empty id on
+    # line 2 comes before the duplicate of line 1's id on line 3, although
+    # line 3's event is the earliest
+    path = tmp_path / "bad.jsonl"
+    lines = [
+        {
+            "case": "c",
+            "event": event_id,
+            "activities": ["a"],
+            "t_min": f"2011-12-0{day}T00:00:00Z",
+            "t_max": f"2011-12-0{day}T00:00:00Z",
+        }
+        for event_id, day in [("b", 5), ("", 9), ("b", 1)]
+    ]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    with pytest.raises(LogFormatError) as caught:
+        read_log(path)
+    assert str(caught.value) == "empty event id; duplicate event id b"
 
 
 def test_import_csv(tmp_path):

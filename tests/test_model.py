@@ -77,10 +77,11 @@ def test_validate_interval_backwards():
 
 
 def test_validate_bool_timestamps():
-    # bool subclasses int but is not a timestamp
+    # bool subclasses int but is not a timestamp; violations come in the
+    # caller's order, since the rules run before the sort
     assert _violations(_event("e1", True, 5), _event("e2", 0, False)) == [
-        "event e2 has bool timestamps",
         "event e1 has bool timestamps",
+        "event e2 has bool timestamps",
     ]
 
 
@@ -128,8 +129,18 @@ def test_validate_timestamps_outside_the_writer_range(t_min, t_max):
         ("c", [_event("a", 1, 2, labels=(3, "x"))],
          ["event a has an activity label that is not a string"]),
         (5, [_event("a", 1, 2)], ["case id 5 is not a string"]),
+        # a str is no label set: its letters must not pass for labels
+        ("c", [UncertainEvent("e1", "register", 0, 0)],
+         ["event e1 has activities that are not a set of labels"]),
+        ("c", [UncertainEvent("e1", 5, 0, 0)],
+         ["event e1 has activities that are not a set of labels"]),
+        ("c", [_event("e0", 0, 0), UncertainEvent("e1", "ab", 0, 0)],
+         ["event e1 has activities that are not a set of labels"]),
     ],
-    ids=["str-timestamps", "none-id", "int-id", "int-label", "int-case-id"],
+    ids=[
+        "str-timestamps", "none-id", "int-id", "int-label", "int-case-id",
+        "str-label-set", "int-label-set", "event-with-str-labels",
+    ],
 )
 def test_values_that_are_not_text_or_ints_are_refused_naming_them(case_id, events, expected):
     # the writers would fail on these later: JSONL with TypeError, DOT
@@ -154,11 +165,12 @@ def test_validate_empty_trace_ok():
 
 
 def test_trace_construction_raises_with_all_violations():
+    # in the caller's order: the second e1 is the duplicate
     violations = _violations(UncertainEvent("e1", frozenset(), 5, 1), _event("e1", 0, 0))
     assert violations == [
-        "duplicate event id e1",
         "event e1 has no activity labels",
         "event e1 has t_min 5 > t_max 1",
+        "duplicate event id e1",
     ]
 
 
