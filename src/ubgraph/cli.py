@@ -28,6 +28,10 @@ from .loggen import (
 from .logio import export_dot, import_certain_csv, read_log, write_log
 from .oracle import covering_relation, udfg_bounds_log
 
+# check --oracle runs covering_relation only on traces of at most this
+# many events, bounding its cubic cost
+_ORACLE_MAX_EVENTS = 8
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -57,10 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--in", dest="input", required=True)
     check.add_argument("--oracle", action="store_true",
                        help="also compare against covering_relation, which evaluates "
-                       "the definition directly in cubic time")
-    check.add_argument("--max-oracle-events", type=int, default=8,
-                       help="run the oracle only on traces of at most this many "
-                       "events, bounding its cubic cost (default 8)")
+                       "the definition directly in cubic time, on the traces of at "
+                       f"most {_ORACLE_MAX_EVENTS} events")
     check.set_defaults(handler=_cmd_check)
 
     udfg = commands.add_parser("udfg", help="directly-follows bounds of a log")
@@ -154,7 +156,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     for trace in log.traces:
         baseline = build_baseline(trace)
         bench_mod._check_equivalent([baseline], [build_sweep(trace)])
-        if args.oracle and len(trace) <= args.max_oracle_events:
+        if args.oracle and len(trace) <= _ORACLE_MAX_EVENTS:
             expected = covering_relation(trace)
             if baseline.edges != expected:
                 raise EquivalenceError(

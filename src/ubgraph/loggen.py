@@ -62,19 +62,7 @@ class _Singletons(dict):
 
 
 def _rng(seed: int, stage: int, trace_index: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence((seed, stage, trace_index)))
-    )
-
-
-def _share(p: float, count: int) -> int:
-    # floor with a tiny guard against p*count landing just below an integer
-    return int(math.floor(p * count + 1e-9))
-
-
-def _check_probability(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {p} outside [0, 1]")
+    return np.random.default_rng((seed, stage, trace_index))
 
 
 def generate_certain_log(spec: GenerationSpec) -> UncertainLog:
@@ -104,30 +92,30 @@ def generate_certain_log(spec: GenerationSpec) -> UncertainLog:
     return UncertainLog(traces=tuple(traces))
 
 
-def _choose(rng: np.random.Generator, count: int, share: int) -> np.ndarray:
-    if share == 0:
-        return np.empty(0, dtype=np.int64)
-    return rng.choice(count, size=share, replace=False)
+def _inject(log: UncertainLog, p: float, seed: int, stage: int, edit) -> UncertainLog:
+    """``log`` with floor(p * length) events of each trace edited.
 
-
-def _chosen(seed: int, stage: int, t: int, trace: UncertainTrace, p: float):
-    """The stage's generator for trace ``t`` and the positions it picks."""
-    rng = _rng(seed, stage, t)
-    return rng, _choose(rng, len(trace), _share(p, len(trace))).tolist()
-
-
-def _rebuild(
-    trace: UncertainTrace, activities=None, t_min=None, t_max=None, determinate=None
-) -> UncertainTrace:
-    """``trace`` with the given columns replaced; the rest are kept."""
-    return UncertainTrace.from_columns(
-        trace.case_id,
-        trace.event_ids,
-        trace.activities if activities is None else activities,
-        trace.t_min.tolist() if t_min is None else t_min,
-        trace.t_max.tolist() if t_max is None else t_max,
-        trace.determinate if determinate is None else determinate,
-    )
+    For each trace, the stage's generator picks the positions, then
+    ``edit(rng, chosen, activities, t_min, t_max, determinate)`` changes
+    copies of the four columns in place; the trace is rebuilt from them.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability {p} outside [0, 1]")
+    traces = []
+    for t, trace in enumerate(log.traces):
+        rng = _rng(seed, stage, t)
+        # floor with a tiny guard against p*n landing just below an integer
+        share = int(math.floor(p * len(trace) + 1e-9))
+        chosen = rng.choice(len(trace), size=share, replace=False).tolist() if share else []
+        columns = (
+            list(trace.activities),
+            trace.t_min.tolist(),
+            trace.t_max.tolist(),
+            list(trace.determinate),
+        )
+        edit(rng, chosen, *columns)
+        traces.append(UncertainTrace.from_columns(trace.case_id, trace.event_ids, *columns))
+    return UncertainLog(traces=tuple(traces))
 
 
 def inject_time_uncertainty(log: UncertainLog, p: float, seed: int) -> UncertainLog:
@@ -137,19 +125,15 @@ def inject_time_uncertainty(log: UncertainLog, p: float, seed: int) -> Uncertain
     t + 1.5 * STRIDE_MS], guaranteeing overlap with both neighbors in a
     generated trace.  Other attributes are untouched.
     """
-    _check_probability(p)
     half_width = int(1.5 * STRIDE_MS)
-    traces = []
-    for t, trace in enumerate(log.traces):
-        _, chosen = _chosen(seed, _STAGE_TIME, t, trace, p)
-        t_min = trace.t_min.tolist()
-        t_max = trace.t_max.tolist()
+
+    def widen(rng, chosen, activities, t_min, t_max, determinate):
         for i in chosen:
             centre = t_min[i]
             t_min[i] = centre - half_width
             t_max[i] = centre + half_width
-        traces.append(_rebuild(trace, t_min=t_min, t_max=t_max))
-    return UncertainLog(traces=tuple(traces))
+
+    return _inject(log, p, seed, _STAGE_TIME, widen)
 
 
 def inject_activity_uncertainty(
@@ -161,12 +145,9 @@ def inject_activity_uncertainty(
     from the alphabet (extended past ``alphabet_size`` if the event
     already holds all of it).
     """
-    _check_probability(p)
     alphabet = [activity_label(j) for j in range(alphabet_size)]
-    traces = []
-    for t, trace in enumerate(log.traces):
-        rng, chosen = _chosen(seed, _STAGE_ACTIVITY, t, trace, p)
-        activities = list(trace.activities)
+
+    def add_label(rng, chosen, activities, t_min, t_max, determinate):
         # positions in ascending order: the draws follow event order
         for i in sorted(chosen):
             labels = activities[i]
@@ -179,18 +160,15 @@ def inject_activity_uncertainty(
                 j += 1
             (added,) = rng.choice(len(pool), size=1, replace=False)
             activities[i] = labels | {pool[added]}
-        traces.append(_rebuild(trace, activities=activities))
-    return UncertainLog(traces=tuple(traces))
+
+    return _inject(log, p, seed, _STAGE_ACTIVITY, add_label)
 
 
 def inject_indeterminacy(log: UncertainLog, p: float, seed: int) -> UncertainLog:
     """Mark floor(p * length) events per trace as possibly unrecorded."""
-    _check_probability(p)
-    traces = []
-    for t, trace in enumerate(log.traces):
-        _, chosen = _chosen(seed, _STAGE_INDETERMINATE, t, trace, p)
-        determinate = list(trace.determinate)
+
+    def drop(rng, chosen, activities, t_min, t_max, determinate):
         for i in chosen:
             determinate[i] = False
-        traces.append(_rebuild(trace, determinate=determinate))
-    return UncertainLog(traces=tuple(traces))
+
+    return _inject(log, p, seed, _STAGE_INDETERMINATE, drop)

@@ -237,7 +237,9 @@ _Columns = tuple[list, list, list, list, list]
 def _build_log(cases: dict[str, _Columns]) -> UncertainLog:
     """One trace per case, in case-id order; every violation in one LogFormatError.
 
-    Each case's columns are dropped as soon as its trace is built.
+    A case's violations come as ``invalid trace '<case>': ...``, so the
+    message names the case.  Each case's columns are dropped as soon as
+    its trace is built.
     """
     traces: list[UncertainTrace] = []
     violations: list[str] = []
@@ -250,12 +252,33 @@ def _build_log(cases: dict[str, _Columns]) -> UncertainLog:
                 )
             )
         except InvalidTraceError as err:
-            violations.extend(err.violations)
+            violations.append(str(err))
     log = UncertainLog(traces=tuple(traces))
     violations.extend(validate_log(log))
     if violations:
         raise LogFormatError("; ".join(violations))
     return log
+
+
+# the stand-ins that errors="surrogateescape" decodes bytes 0x80-0xff to
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def _undecodable_line(source: str | Path) -> LogFormatError:
+    """The error naming the first line of ``source`` that is not UTF-8 text.
+
+    The file is read again with each byte that does not decode standing
+    in as a surrogate (valid UTF-8 decodes to none), and with the same
+    line ends as ``read_log``, so the line numbers agree.
+    """
+    with open(source, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        for number, line in enumerate(handle, start=1):
+            bad = _ESCAPED_BYTE.search(line)
+            if bad is not None:
+                byte = ord(bad.group()) - 0xDC00
+                return LogFormatError(f"line {number}: not UTF-8 text (byte 0x{byte:02x})")
+    # only a file changed since the strict read gets here
+    return LogFormatError("not UTF-8 text")
 
 
 def read_log(source: str | Path) -> UncertainLog:
@@ -275,31 +298,35 @@ def read_log(source: str | Path) -> UncertainLog:
     label_sets = _LabelSets()
     json_label_sets: dict[tuple, frozenset[str]] = {}
     match = _CANONICAL_LINE.fullmatch
-    with open(source, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            found = match(line)
-            if found is not None:
-                case_id, event_id, labels_text, low, high, true = found.groups()
-                low, high = instants[low], instants[high]
-                if low is None or high is None or low > high:
-                    found = None
-            if found is not None:
-                labels, determinate = label_sets[labels_text], true is not None
-            elif line.strip():
-                case_id, event_id, labels, low, high, determinate = _row_from_line(
-                    line, number, json_label_sets
-                )
-            else:
-                continue
-            columns = cases.get(case_id)
-            if columns is None:
-                columns = cases[case_id] = ([], [], [], [], [])
-            event_ids, activities, t_min, t_max, flags = columns
-            event_ids.append(event_id)
-            activities.append(labels)
-            t_min.append(low)
-            t_max.append(high)
-            flags.append(determinate)
+    try:
+        with open(source, "r", encoding="utf-8") as handle:
+            for number, line in enumerate(handle, start=1):
+                found = match(line)
+                if found is not None:
+                    case_id, event_id, labels_text, low, high, true = found.groups()
+                    low, high = instants[low], instants[high]
+                    if low is None or high is None or low > high:
+                        found = None
+                if found is not None:
+                    labels, determinate = label_sets[labels_text], true is not None
+                elif line.strip():
+                    case_id, event_id, labels, low, high, determinate = _row_from_line(
+                        line, number, json_label_sets
+                    )
+                else:
+                    continue
+                columns = cases.get(case_id)
+                if columns is None:
+                    columns = cases[case_id] = ([], [], [], [], [])
+                event_ids, activities, t_min, t_max, flags = columns
+                event_ids.append(event_id)
+                activities.append(labels)
+                t_min.append(low)
+                t_max.append(high)
+                flags.append(determinate)
+    except UnicodeDecodeError:
+        # found again from the start, so a read that decodes pays nothing
+        raise _undecodable_line(source) from None
     return _build_log(cases)
 
 

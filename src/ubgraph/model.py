@@ -35,8 +35,9 @@ class UncertainEvent:
     but a ``str`` itself.  ``t_min``/``t_max`` bound the true
     timestamp, in epoch milliseconds; they must be Python ``int``, not
     ``bool`` and not a numpy integer.  The id and the labels must be
-    Python ``str``.  ``determinate`` is False when the event may not have
-    happened at all; it must be a Python ``bool``.
+    Python ``str`` and UTF-8 text (no lone surrogates).  ``determinate``
+    is False when the event may not have happened at all; it must be a
+    Python ``bool``.
     """
 
     event_id: str
@@ -237,7 +238,9 @@ def validate_trace(trace: UncertainTrace) -> list[str]:
     so for any trace that exists the result is empty.
 
     The case id, the event ids and the activity labels must be Python
-    ``str``, since the JSONL and DOT writers write text.  A label set
+    ``str`` and UTF-8 text, since the JSONL and DOT writers write text:
+    a lone surrogate such as ``"\ud800"`` is a ``str`` that no UTF-8
+    file can hold, so it is refused naming its event.  A label set
     is a collection of labels but not a ``str``, whose letters would
     otherwise pass for labels.
     Timestamps must be Python ``int``.  ``bool`` is refused although it
@@ -275,7 +278,8 @@ def _violations(
         and len(set(event_ids)) == len(event_ids)
         and "" not in event_ids
         and set(map(type, activities)) <= {frozenset}
-        and set(map(type, frozenset().union(*activities))) <= {str}
+        and set(map(type, labels := frozenset().union(*activities))) <= {str}
+        and _is_text(case_id, *event_ids, *labels)
         and all(activities)
         and {*map(type, t_min), *map(type, t_max)} <= {int}
         and not any(map(gt, t_min, t_max))
@@ -286,10 +290,14 @@ def _violations(
     violations: list[str] = []
     if type(case_id) is not str:
         violations.append(f"case id {case_id!r} is not a string")
+    elif not _is_text(case_id):
+        violations.append(f"case id {case_id!r} is not UTF-8 text")
     seen: set[str] = set()
     for event_id, labels, low, high, flag in zip(event_ids, activities, t_min, t_max, determinate):
         if type(event_id) is not str:
             violations.append(f"event id {event_id!r} is not a string")
+        elif not _is_text(event_id):
+            violations.append(f"event id {event_id!r} is not UTF-8 text")
         elif not event_id:
             violations.append("empty event id")
         elif event_id in seen:
@@ -302,6 +310,8 @@ def _violations(
             violations.append(f"event {event_id} has no activity labels")
         elif not set(map(type, labels)) <= {str}:
             violations.append(f"event {event_id} has an activity label that is not a string")
+        elif not _is_text(*labels):
+            violations.append(f"event {event_id} has an activity label that is not UTF-8 text")
         kinds = {type(low), type(high)}
         if not kinds <= {int, bool}:
             violations.append(f"event {event_id} has non-integer timestamps")
@@ -316,23 +326,45 @@ def _violations(
     return violations
 
 
+def _is_text(*texts: str) -> bool:
+    # a lone surrogate is a str but no UTF-8 text; the surrogates are the
+    # only code points that UTF-8 cannot encode
+    try:
+        "".join(texts).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def validate_log(log: UncertainLog) -> list[str]:
     """Check the log-level rules; return a list of violations.
 
     Case ids must be unique and no event id may appear in more than one
-    trace.  Each trace was already checked when it was built.
+    trace; a shared id is reported with the first case that holds it
+    and the case that repeats it.  Each trace was already checked when
+    it was built.
     """
     violations: list[str] = []
     seen_cases: set[str] = set()
     seen_events: set[str] = set()
+    first_case: dict[str, str] = {}
     for trace in log.traces:
-        if trace.case_id in seen_cases:
-            violations.append(f"duplicate case id {trace.case_id}")
-        seen_cases.add(trace.case_id)
-        for event_id in trace.event_ids:
-            if event_id in seen_events:
-                violations.append(f"event id {event_id} appears in more than one trace")
-            seen_events.add(event_id)
+        case_id, event_ids = trace.case_id, trace.event_ids
+        if case_id in seen_cases:
+            violations.append(f"duplicate case id {case_id}")
+        seen_cases.add(case_id)
+        if not seen_events.isdisjoint(event_ids):
+            if not first_case:
+                # made once, on the first shared id; built backwards, so
+                # each id keeps the first case that holds it
+                first_case = {e: t.case_id for t in reversed(log.traces) for e in t.event_ids}
+            violations.extend(
+                f"event id {event_id} appears in more than one trace: "
+                f"{first_case[event_id]!r} and {case_id!r}"
+                for event_id in event_ids
+                if event_id in seen_events
+            )
+        seen_events.update(event_ids)
     return violations
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 
 import pytest
 from test_acceptance import CRITERION_4, CRITERION_5, CRITERION_6
@@ -106,7 +107,7 @@ def test_check_reports_equivalence(tmp_path, capsys):
 
 def test_check_oracle_respects_size_budget(tmp_path, capsys):
     log_path = _generate(tmp_path, **{"--length": "9", "--traces": "4"})
-    assert run(["check", "--in", str(log_path), "--oracle", "--max-oracle-events", "8"]) == 0
+    assert run(["check", "--in", str(log_path), "--oracle"]) == 0
     assert "oracle checked 0 of 4 traces" in capsys.readouterr().out
 
 
@@ -250,6 +251,21 @@ def _determinate_yes(records):
     records[0]["determinate"] = "yes"
 
 
+def _id_repeated_in_case(records):
+    other = next(record for record in records[1:] if record["case"] == records[0]["case"])
+    other["event"] = records[0]["event"]
+
+
+def _before_year_1(records):
+    # the first half hour of year 1 in UTC+1 is still year 0 in UTC
+    records[0]["t_min"] = "0001-01-01T00:30:00+01:00"
+
+
+def _byte_0xff(records):
+    # written with errors="surrogateescape", which turns \udcff into the byte 0xff
+    records[0]["activities"] = ["\udcff"]
+
+
 _LOG_MUTATIONS = {
     "generated": None,
     "missing-key": _drop_key,
@@ -259,6 +275,9 @@ _LOG_MUTATIONS = {
     "colliding-case-names": _colliding_case_names,
     "year-10000": _year_10000,
     "determinate-yes": _determinate_yes,
+    "id-repeated-in-case": _id_repeated_in_case,
+    "before-year-1": _before_year_1,
+    "byte-0xff": _byte_0xff,
 }
 
 _SUBCOMMANDS = {
@@ -272,14 +291,16 @@ _SUBCOMMANDS = {
 @pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
 @pytest.mark.parametrize("mutation", list(_LOG_MUTATIONS))
 def test_exit_contract_on_generated_and_broken_logs(tmp_path, capsys, mutation, command):
-    # every subcommand succeeds, or exits 1 with one "error: " line
+    # every subcommand succeeds, or exits 1 with one "error: " line that
+    # names a line of the log or quotes one of its case ids
     log_path = _generate(
         tmp_path, **{"--traces": "3", "--p-activity": "0.4", "--p-indeterminate": "0.2"}
     )
+    records = [json.loads(line) for line in log_path.read_text().splitlines()]
     if _LOG_MUTATIONS[mutation]:
-        records = [json.loads(line) for line in log_path.read_text().splitlines()]
         _LOG_MUTATIONS[mutation](records)
-        log_path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        text = "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records)
+        log_path.write_bytes(text.encode("utf-8", "surrogateescape"))
     capsys.readouterr()
     argv = [part.format(tmp=tmp_path) for part in _SUBCOMMANDS[command]]
     code = run([*argv, "--in", str(log_path)])
@@ -288,6 +309,8 @@ def test_exit_contract_on_generated_and_broken_logs(tmp_path, capsys, mutation, 
     if code != 0:
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and err.endswith("\n")
+        cases = {record["case"] for record in records}
+        assert re.search(r"\bline [0-9]+: ", err) or any(f"'{case}'" in err for case in cases)
 
 
 @pytest.mark.parametrize(

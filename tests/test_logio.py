@@ -122,7 +122,7 @@ def reference_read_log(path) -> UncertainLog:
         try:
             traces.append(UncertainTrace(case_id=case_id, events=tuple(events)))
         except InvalidTraceError as err:
-            violations.extend(err.violations)
+            violations.append(str(err))
     log = UncertainLog(traces=tuple(traces))
     violations.extend(validate_log(log))
     if violations:
@@ -311,8 +311,8 @@ def test_read_reports_every_violation_in_one_error(tmp_path):
     with pytest.raises(LogFormatError) as caught:
         read_log(path)
     assert str(caught.value) == (
-        "duplicate event id x; duplicate event id y; "
-        "event id z appears in more than one trace"
+        "invalid trace 'c1': duplicate event id x; invalid trace 'c2': duplicate event id y; "
+        "event id z appears in more than one trace: 'c3' and 'c4'"
     )
 
 
@@ -334,7 +334,7 @@ def test_read_reports_the_violations_of_one_case_in_line_order(tmp_path):
     path.write_text("".join(json.dumps(line) + "\n" for line in lines))
     with pytest.raises(LogFormatError) as caught:
         read_log(path)
-    assert str(caught.value) == "empty event id; duplicate event id b"
+    assert str(caught.value) == "invalid trace 'c': empty event id; duplicate event id b"
 
 
 def test_import_csv(tmp_path):
@@ -528,6 +528,21 @@ def test_timestamp_range_ends_round_trip(tmp_path):
     assert read_log(path) == UncertainLog((trace,))
 
 
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_read_names_the_first_line_that_is_not_utf8(tmp_path, ending):
+    # far enough in that the decoder meets the byte in a later chunk; the
+    # line count follows the same line ends as the strict read
+    path = tmp_path / "bad.jsonl"
+    write_log(_random_log(1), path)
+    lines = path.read_bytes().splitlines() * 300
+    lines[2999] = lines[2999].replace(b'"', b'"\xc3', 1)
+    lines[3999] = lines[3999].replace(b'"', b'"\xff', 1)
+    path.write_bytes(b"".join(line + ending.encode() for line in lines))
+    with pytest.raises(LogFormatError) as caught:
+        read_log(path)
+    assert str(caught.value) == "line 3000: not UTF-8 text (byte 0xc3)"
+
+
 def test_read_refuses_instants_outside_the_writer_range(tmp_path):
     path = tmp_path / "bad.jsonl"
     record = {
@@ -540,7 +555,7 @@ def test_read_refuses_instants_outside_the_writer_range(tmp_path):
     path.write_text(json.dumps(record) + "\n")
     with pytest.raises(LogFormatError) as caught:
         read_log(path)
-    assert str(caught.value) == "event e1 has timestamps outside years 1 to 9999"
+    assert str(caught.value) == "invalid trace 'c': event e1 has timestamps outside years 1 to 9999"
 
 
 def test_bad_timestamp_quotes_the_text_in_the_file(tmp_path):
@@ -877,7 +892,7 @@ def test_write_refuses_an_event_id_in_two_traces(tmp_path):
     with pytest.raises(ValueError) as caught:
         write_log(log, path)
     assert str(caught.value) == (
-        "cannot write the log: event id e2 appears in more than one trace; "
-        "event id e1 appears in more than one trace"
+        "cannot write the log: event id e2 appears in more than one trace: 'c' and 'd'; "
+        "event id e1 appears in more than one trace: 'c' and 'd'"
     )
     assert not path.exists()

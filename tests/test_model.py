@@ -136,10 +136,16 @@ def test_validate_timestamps_outside_the_writer_range(t_min, t_max):
          ["event e1 has activities that are not a set of labels"]),
         ("c", [_event("e0", 0, 0), UncertainEvent("e1", "ab", 0, 0)],
          ["event e1 has activities that are not a set of labels"]),
+        # a lone surrogate is a str that no UTF-8 file can hold
+        ("c", [_event("e\ud800", 1, 2)], ["event id 'e\\ud800' is not UTF-8 text"]),
+        ("c", [_event("a", 1, 2, labels=("x", "\udfff"))],
+         ["event a has an activity label that is not UTF-8 text"]),
+        ("c\ud800", [_event("a", 1, 2)], ["case id 'c\\ud800' is not UTF-8 text"]),
     ],
     ids=[
         "str-timestamps", "none-id", "int-id", "int-label", "int-case-id",
         "str-label-set", "int-label-set", "event-with-str-labels",
+        "surrogate-id", "surrogate-label", "surrogate-case-id",
     ],
 )
 def test_values_that_are_not_text_or_ints_are_refused_naming_them(case_id, events, expected):
