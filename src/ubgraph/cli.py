@@ -117,11 +117,21 @@ def _safe_name(case_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]", "_", case_id) or "case"
 
 
+# the longest file name most file systems take, in bytes; _safe_name
+# gives ASCII, so a name's characters are its bytes
+_MAX_NAME = 255
+
+
 def _dot_names(case_ids: Sequence[str]) -> list[str]:
-    """One DOT file name per case; ValueError when two cases share one."""
+    """One DOT file name per case; ValueError when two cases share one or one is too long."""
     names: dict[str, str] = {}
     for case_id in case_ids:
         name = f"{_safe_name(case_id)}.dot"
+        if len(name) > _MAX_NAME:
+            raise ValueError(
+                f"case {case_id!r} maps to a DOT file name of {len(name)} characters, "
+                f"over the limit of {_MAX_NAME}"
+            )
         if name in names:
             raise ValueError(
                 f"cases {names[name]!r} and {case_id!r} both map to DOT file {name}"

@@ -5,6 +5,11 @@ spaced timestamps, then inject the wanted kinds of uncertainty into a
 fixed share of each trace's events.  All randomness flows through
 per-trace substreams keyed by (seed, stage, trace index), so results
 are reproducible and independent of evaluation order.
+
+An injection picks positions in the trace's own event order, by t_min
+and then event id.  Generated traces never tie on t_min, so the
+tie-break never matters to them; on a caller's log with tied t_min
+values, the events that a seed picks depend on it.
 """
 
 from __future__ import annotations
@@ -95,7 +100,8 @@ def generate_certain_log(spec: GenerationSpec) -> UncertainLog:
 def _inject(log: UncertainLog, p: float, seed: int, stage: int, edit) -> UncertainLog:
     """``log`` with floor(p * length) events of each trace edited.
 
-    For each trace, the stage's generator picks the positions, then
+    For each trace, the stage's generator picks the positions, in the
+    trace's (t_min, event id) order (see the module docstring), then
     ``edit(rng, chosen, activities, t_min, t_max, determinate)`` changes
     copies of the four columns in place; the trace is rebuilt from them.
     """

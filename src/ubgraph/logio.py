@@ -99,33 +99,33 @@ def _iso_ms(column: np.ndarray) -> list[str]:
 def write_log(log: UncertainLog, destination: str | Path) -> int:
     """Write the log as JSON lines; returns the number of bytes written.
 
-    Lines are ordered by (case, t_min, event id) so equal logs always
-    produce identical bytes: the bytes of ``json.dumps`` with its
-    default separators, one object per line.  A log that breaks a rule
-    of ``validate_log`` would not read back as written, so it raises
+    Traces come in case-id order, one trace's text written at a time,
+    and each trace's lines in its own (t_min, event id) order.  So equal
+    logs give identical bytes: those of ``json.dumps`` with its default
+    separators, one object per line.  A log that breaks a rule of
+    ``validate_log`` would not read back as written, so it raises
     ValueError with every violation before anything is written.
     """
     violations = validate_log(log)
     if violations:
         raise ValueError(f"cannot write the log: {'; '.join(violations)}")
     labels_text = _LabelsText()
-    lines: list[str] = []
-    for trace in log.traces:
-        # case ids are unique and the traces sorted by them, so only the
-        # events of one trace need sorting; its own order is (t_min, t_max, id)
-        ids, t_min = trace.event_ids, trace.t_min.tolist()
-        order = sorted(range(len(ids)), key=lambda i: (t_min[i], ids[i]))
-        head = '{"case": ' + encode_basestring_ascii(trace.case_id) + ', "event": '
-        activities, determinate = trace.activities, trace.determinate
-        lines.extend(
-            f'{head}{encode_basestring_ascii(ids[i])}, "activities": {labels_text[activities[i]]}, '
-            f'"t_min": "{low}Z", "t_max": "{high}Z", '
-            f'"determinate": {"true" if determinate[i] else "false"}}}\n'
-            for i, low, high in zip(order, _iso_ms(trace.t_min[order]), _iso_ms(trace.t_max[order]))
-        )
-    data = "".join(lines).encode("ascii")
-    Path(destination).write_bytes(data)
-    return len(data)
+    written = 0
+    # the text is ASCII, so its characters are its bytes
+    with open(destination, "w", encoding="ascii", newline="") as handle:
+        for trace in log.traces:
+            head = '{"case": ' + encode_basestring_ascii(trace.case_id) + ', "event": '
+            low, high = _iso_ms(trace.t_min), _iso_ms(trace.t_max)
+            text = "".join(
+                f'{head}{encode_basestring_ascii(event_id)}, "activities": {labels_text[labels]}, '
+                f'"t_min": "{t_min}Z", "t_max": "{t_max}Z", '
+                f'"determinate": {"true" if flag else "false"}}}\n'
+                for event_id, labels, t_min, t_max, flag in zip(
+                    trace.event_ids, trace.activities, low, high, trace.determinate
+                )
+            )
+            written += handle.write(text)
+    return written
 
 
 def _row_from_line(
@@ -341,40 +341,49 @@ def import_certain_csv(
 
     Each row is one event with a single activity and an exact
     timestamp.  Without ``id_col``, ids are generated as
-    "<case>#<k>" with k counting the case's rows from 1.
+    "<case>#<k>" with k counting the case's rows from 1.  A byte that is
+    not UTF-8, or text the csv module refuses (a field longer than its
+    limit), raises LogFormatError naming the line of the file.
     """
     cases: dict[str, _Columns] = {}
-    with open(source, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        columns = reader.fieldnames or []
-        for name in [case_col, activity_col, time_col] + ([id_col] if id_col else []):
-            if name not in columns:
-                raise LogFormatError(f"missing column {name!r} (found {columns})")
-        for number, row in enumerate(reader, start=1):
-            case_id = (row[case_col] or "").strip()
-            activity = (row[activity_col] or "").strip()
-            if not case_id:
-                raise LogFormatError(f"row {number}: empty case value")
-            if not activity:
-                raise LogFormatError(f"row {number}: empty activity value")
-            try:
-                instant = parse_timestamp(row[time_col] or "")
-            except ValueError as err:
-                raise LogFormatError(f"row {number}: bad timestamp ({err})") from err
-            columns = cases.setdefault(case_id, ([], [], [], [], []))
-            event_ids, activities, t_min, t_max, determinate = columns
-            event_id = (
-                (row[id_col] or "").strip()
-                if id_col
-                else f"{case_id}#{len(event_ids) + 1}"
-            )
-            if not event_id:
-                raise LogFormatError(f"row {number}: empty event id")
-            event_ids.append(event_id)
-            activities.append(frozenset({activity}))
-            t_min.append(instant)
-            t_max.append(instant)
-            determinate.append(True)
+    try:
+        with open(source, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.DictReader(handle)
+            columns = reader.fieldnames or []
+            for name in [case_col, activity_col, time_col] + ([id_col] if id_col else []):
+                if name not in columns:
+                    raise LogFormatError(f"missing column {name!r} (found {columns})")
+            for number, row in enumerate(reader, start=1):
+                case_id = (row[case_col] or "").strip()
+                activity = (row[activity_col] or "").strip()
+                if not case_id:
+                    raise LogFormatError(f"row {number}: empty case value")
+                if not activity:
+                    raise LogFormatError(f"row {number}: empty activity value")
+                try:
+                    instant = parse_timestamp(row[time_col] or "")
+                except ValueError as err:
+                    raise LogFormatError(f"row {number}: bad timestamp ({err})") from err
+                columns = cases.setdefault(case_id, ([], [], [], [], []))
+                event_ids, activities, t_min, t_max, determinate = columns
+                event_id = (
+                    (row[id_col] or "").strip()
+                    if id_col
+                    else f"{case_id}#{len(event_ids) + 1}"
+                )
+                if not event_id:
+                    raise LogFormatError(f"row {number}: empty event id")
+                event_ids.append(event_id)
+                activities.append(frozenset({activity}))
+                t_min.append(instant)
+                t_max.append(instant)
+                determinate.append(True)
+    except UnicodeDecodeError:
+        raise _undecodable_line(source) from None
+    except csv.Error as err:
+        # such as a field longer than the csv module's limit; the DictReader's
+        # own line_num is set only after a row parses, its reader's before
+        raise LogFormatError(f"line {reader.reader.line_num}: {err}") from err
     return _build_log(cases)
 
 

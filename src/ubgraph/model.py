@@ -64,8 +64,9 @@ MAX_TIMESTAMP_MS = 253_402_300_799_999  # 9999-12-31T23:59:59.999Z
 class UncertainTrace:
     """All events recorded for one case, held as columns.
 
-    The columns are in the canonical order (t_min, t_max, event_id):
-    ``event_ids`` (tuple of str), ``activities`` (tuple of frozensets),
+    The columns are in the canonical order (t_min, event_id), which is
+    the order ``write_log`` writes a trace's lines in: ``event_ids``
+    (tuple of str), ``activities`` (tuple of frozensets),
     ``determinate`` (tuple of bool), and ``t_min``/``t_max`` as
     read-only int64 arrays.  Storage order carries no meaning: the
     behavior of the trace is fully determined by the events' timestamp
@@ -122,8 +123,8 @@ class UncertainTrace:
             raise InvalidTraceError(case_id, violations)
         # checked ids are unique strings, so rows never compare past the id;
         # frozenset() of a frozenset is the same object
-        rows = sorted(zip(t_min, t_max, event_ids, map(frozenset, activities), determinate))
-        t_min, t_max, event_ids, activities, determinate = tuple(zip(*rows)) or ((),) * 5
+        rows = sorted(zip(t_min, event_ids, t_max, map(frozenset, activities), determinate))
+        t_min, event_ids, t_max, activities, determinate = tuple(zip(*rows)) or ((),) * 5
         setter = object.__setattr__
         setter(self, "case_id", case_id)
         setter(self, "event_ids", event_ids)

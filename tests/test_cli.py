@@ -266,6 +266,13 @@ def _byte_0xff(records):
     records[0]["activities"] = ["\udcff"]
 
 
+def _long_case_id(records):
+    # its DOT file name is 304 characters long, past the 255 most file systems take
+    for record in records:
+        if record["case"] == "c2":
+            record["case"] = "x" * 300
+
+
 _LOG_MUTATIONS = {
     "generated": None,
     "missing-key": _drop_key,
@@ -278,6 +285,7 @@ _LOG_MUTATIONS = {
     "id-repeated-in-case": _id_repeated_in_case,
     "before-year-1": _before_year_1,
     "byte-0xff": _byte_0xff,
+    "long-case-id": _long_case_id,
 }
 
 _SUBCOMMANDS = {
@@ -346,6 +354,22 @@ def test_lone_surrogate_label_exits_one_naming_the_line(tmp_path, capsys, comman
         "(surrogates not allowed)\n"
     )
     assert not (tmp_path / "dot").exists()
+
+
+def test_long_dot_file_name_exits_one_before_any_file_is_written(tmp_path, capsys):
+    log_path = _generate(tmp_path, **{"--traces": "3"})
+    records = [json.loads(line) for line in log_path.read_text().splitlines()]
+    _long_case_id(records)
+    log_path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    dot = tmp_path / "dot"
+    dot.mkdir()
+    capsys.readouterr()
+    assert run(["graph", "--algorithm", "sweep", "--dot", str(dot), "--in", str(log_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: case '{'x' * 300}' maps to a DOT file name of 304 characters, "
+        "over the limit of 255\n"
+    )
+    assert list(dot.iterdir()) == []
 
 
 def test_import_csv_round_trip(tmp_path, capsys):

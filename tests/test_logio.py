@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import csv
 import json
 import re
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from itertools import repeat
 from pathlib import Path
@@ -201,6 +203,40 @@ def test_write_log_lines(tmp_path, five_event_trace):
     assert by_id["e5"]["determinate"] is False
 
 
+def test_write_log_follows_the_trace_order_on_a_t_min_tie(tmp_path):
+    # at t_min 1000 the id order (a, b) and the t_max order (b, a) disagree
+    trace = UncertainTrace(
+        "c",
+        (
+            UncertainEvent("b", frozenset("x"), 1000, 2000),
+            UncertainEvent("a", frozenset("y"), 1000, 5000),
+            UncertainEvent("c", frozenset("z"), 0, 0),
+        ),
+    )
+    assert trace.event_ids == ("c", "a", "b")
+    log = UncertainLog((trace,))
+    path = tmp_path / "log.jsonl"
+    write_log(log, path)
+    lines = path.read_text().splitlines()
+    assert [json.loads(line)["event"] for line in lines] == list(trace.event_ids)
+    assert read_log(path) == log
+
+
+def test_write_log_holds_one_trace_at_a_time(tmp_path):
+    # a writer that builds the whole file's text first peaks at several
+    # times the file's size
+    spec = GenerationSpec(n_traces=200, trace_length=50, seed=1)
+    log = inject_time_uncertainty(generate_certain_log(spec), 0.4, 1)
+    path = tmp_path / "log.jsonl"
+    tracemalloc.start()
+    try:
+        write_log(log, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
+
+
 def test_write_empty_log(tmp_path):
     assert write_log(UncertainLog(), tmp_path / "empty.jsonl") == 0
 
@@ -379,6 +415,25 @@ def test_import_csv_missing_column(tmp_path):
     path.write_text("case,activity\nc1,a\n")
     with pytest.raises(LogFormatError, match="missing column 'timestamp'"):
         import_certain_csv(path, "case", "activity", "timestamp")
+
+
+def test_import_csv_names_the_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_bytes(b"case,activity,timestamp\nc1,a,05-12-2011\nc1,b\xff,06-12-2011\n")
+    with pytest.raises(LogFormatError) as caught:
+        import_certain_csv(path, "case", "activity", "timestamp")
+    assert str(caught.value) == "line 3: not UTF-8 text (byte 0xff)"
+
+
+def test_import_csv_names_the_line_of_a_field_past_the_csv_limit(tmp_path):
+    path = tmp_path / "events.csv"
+    limit = csv.field_size_limit()
+    path.write_text(
+        f"case,activity,timestamp\nc1,a,05-12-2011\nc1,{'b' * (limit + 1)},06-12-2011\n"
+    )
+    with pytest.raises(LogFormatError) as caught:
+        import_certain_csv(path, "case", "activity", "timestamp")
+    assert str(caught.value) == f"line 3: field larger than field limit ({limit})"
 
 
 _NODE = re.compile(r'^\s*"(?P<id>(?:[^"\\]|\\.)*)" \[label="(?:[^"\\]|\\.)*"(?P<dashed>, style=dashed)?\];$')

@@ -29,8 +29,9 @@ def test_activities_coerced_to_frozenset():
 
 
 def test_trace_event_order_is_canonical():
+    # (t_min, event_id): a tie on t_min goes by id, not by t_max
     trace = UncertainTrace("c", (_event("b", 5, 5), _event("a", 1, 9), _event("c", 1, 3)))
-    assert [e.event_id for e in trace.events] == ["c", "a", "b"]
+    assert [e.event_id for e in trace.events] == ["a", "c", "b"]
     # equality only depends on content, not construction order
     shuffled = UncertainTrace("c", (_event("c", 1, 3), _event("b", 5, 5), _event("a", 1, 9)))
     assert trace == shuffled
@@ -194,10 +195,10 @@ def test_columns_are_canonical_and_typed():
     trace = UncertainTrace(
         "c", (_event("b", 5, 5), _event("a", 1, 9, ("x", "y"), False), _event("c", 1, 3))
     )
-    assert trace.event_ids == ("c", "a", "b")
-    assert trace.activities == (frozenset("a"), frozenset("xy"), frozenset("a"))
-    assert trace.determinate == (True, False, True)
-    for column, values in ((trace.t_min, [1, 1, 5]), (trace.t_max, [3, 9, 5])):
+    assert trace.event_ids == ("a", "c", "b")
+    assert trace.activities == (frozenset("xy"), frozenset("a"), frozenset("a"))
+    assert trace.determinate == (False, True, True)
+    for column, values in ((trace.t_min, [1, 1, 5]), (trace.t_max, [9, 3, 5])):
         assert column.dtype == np.int64 and column.tolist() == values
         assert not column.flags.writeable
 
