@@ -1,7 +1,9 @@
 """Command line interface.
 
 Subcommands: generate, graph, check, udfg, bench, import-csv.  Data goes
-to stdout or the requested files; diagnostics go to stderr.  Exit codes:
+to stdout or the requested files; diagnostics go to stderr.  A command
+that writes one file refuses a path it cannot make before any work, and
+removes the file it made if it then fails.  Exit codes:
 0 success, 1 validation or parse errors, 2 internal errors (including a
 failed equivalence check).
 """
@@ -12,8 +14,9 @@ import argparse
 import csv
 import re
 import sys
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import bench as bench_mod
 from .bench import EquivalenceError, fit_scaling_exponent
@@ -231,6 +234,33 @@ def _cmd_import_csv(args: argparse.Namespace) -> int:
     return 0
 
 
+# the option that names each command's output file
+_OUTPUT_OPTION = {"generate": "out", "udfg": "out", "import-csv": "out", "bench": "report"}
+
+
+@contextmanager
+def _output_file(path: str) -> Iterator[None]:
+    """Refuses an output file that cannot be made, before any work.
+
+    Entered before a command runs: ValueError names ``path`` when its
+    directory does not exist or when it is a directory.  If the command
+    then fails, a file it made at ``path`` is removed, so a refused or
+    failed run leaves no new file.
+    """
+    out = Path(path)
+    if not out.parent.is_dir():
+        raise ValueError(f"cannot write {path!r}: directory {str(out.parent)!r} does not exist")
+    if out.is_dir():
+        raise ValueError(f"cannot write {path!r}: it is a directory")
+    existed = out.exists()
+    try:
+        yield
+    except BaseException:
+        if not existed:
+            out.unlink(missing_ok=True)
+        raise
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse and execute; returns the process exit code."""
     parser = _build_parser()
@@ -238,8 +268,11 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exit_:
         return 0 if exit_.code in (0, None) else 1
+    option = _OUTPUT_OPTION.get(args.command)
+    output = nullcontext() if option is None else _output_file(getattr(args, option))
     try:
-        return args.handler(args)
+        with output:
+            return args.handler(args)
     except EquivalenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -26,6 +26,7 @@ from datetime import datetime, timedelta, timezone
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -158,7 +159,7 @@ def _row_from_line(
     if not isinstance(activities, list) or not all(map(isinstance, activities, repeat(str))):
         raise LogFormatError(f"line {number}: activities must be a list of strings")
     if not activities:
-        raise LogFormatError(f"line {number}: event {event_id} has no activity labels")
+        raise LogFormatError(f"line {number}: event {event_id!r} has no activity labels")
     try:
         # a JSON escape can spell a lone surrogate, which no UTF-8 output can hold
         "".join((case_id, event_id, *activities)).encode("utf-8")
@@ -175,7 +176,7 @@ def _row_from_line(
         raise LogFormatError(f"line {number}: bad timestamp ({err})") from err
     if t_min > t_max:
         raise LogFormatError(
-            f"line {number}: event {event_id} has t_min after t_max"
+            f"line {number}: event {event_id!r} has t_min after t_max"
         )
     key = tuple(activities)
     labels = label_sets.get(key)
@@ -275,10 +276,14 @@ def _undecodable_line(source: str | Path) -> LogFormatError:
         for number, line in enumerate(handle, start=1):
             bad = _ESCAPED_BYTE.search(line)
             if bad is not None:
-                byte = ord(bad.group()) - 0xDC00
-                return LogFormatError(f"line {number}: not UTF-8 text (byte 0x{byte:02x})")
+                return _not_utf8(number, bad.group())
     # only a file changed since the strict read gets here
     return LogFormatError("not UTF-8 text")
+
+
+def _not_utf8(number: int, escaped: str) -> LogFormatError:
+    """The error for line ``number``, holding the byte that decoded to ``escaped``."""
+    return LogFormatError(f"line {number}: not UTF-8 text (byte 0x{ord(escaped) - 0xDC00:02x})")
 
 
 def read_log(source: str | Path) -> UncertainLog:
@@ -330,6 +335,30 @@ def read_log(source: str | Path) -> UncertainLog:
     return _build_log(cases)
 
 
+def _csv_records(handle: TextIO) -> Iterator[tuple[int, list[str]]]:
+    """Each CSV record of an open file, with the line it starts on.
+
+    The file is opened with errors="surrogateescape", so a byte that is
+    not UTF-8 stands in as a surrogate until its record is read; then
+    it, or text the csv module refuses (a field longer than its limit),
+    raises LogFormatError naming the record's first line.
+    """
+    reader = csv.reader(handle)
+    number = 1
+    while True:
+        try:
+            fields = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as err:
+            raise LogFormatError(f"line {number}: {err}") from err
+        bad = _ESCAPED_BYTE.search("".join(fields))
+        if bad is not None:
+            raise _not_utf8(number, bad.group())
+        yield number, fields
+        number = reader.line_num + 1
+
+
 def import_certain_csv(
     source: str | Path,
     case_col: str,
@@ -341,49 +370,44 @@ def import_certain_csv(
 
     Each row is one event with a single activity and an exact
     timestamp.  Without ``id_col``, ids are generated as
-    "<case>#<k>" with k counting the case's rows from 1.  A byte that is
-    not UTF-8, or text the csv module refuses (a field longer than its
-    limit), raises LogFormatError naming the line of the file.
+    "<case>#<k>" with k counting the case's rows from 1.  A bad row,
+    a byte that is not UTF-8, or text the csv module refuses raises
+    LogFormatError as ``line N: ...``, N being the line of the file on
+    which the record starts (the header is line 1; a quoted field may
+    hold line breaks, so a record may span lines).
     """
     cases: dict[str, _Columns] = {}
-    try:
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.DictReader(handle)
-            columns = reader.fieldnames or []
-            for name in [case_col, activity_col, time_col] + ([id_col] if id_col else []):
-                if name not in columns:
-                    raise LogFormatError(f"missing column {name!r} (found {columns})")
-            for number, row in enumerate(reader, start=1):
-                case_id = (row[case_col] or "").strip()
-                activity = (row[activity_col] or "").strip()
-                if not case_id:
-                    raise LogFormatError(f"row {number}: empty case value")
-                if not activity:
-                    raise LogFormatError(f"row {number}: empty activity value")
-                try:
-                    instant = parse_timestamp(row[time_col] or "")
-                except ValueError as err:
-                    raise LogFormatError(f"row {number}: bad timestamp ({err})") from err
-                columns = cases.setdefault(case_id, ([], [], [], [], []))
-                event_ids, activities, t_min, t_max, determinate = columns
-                event_id = (
-                    (row[id_col] or "").strip()
-                    if id_col
-                    else f"{case_id}#{len(event_ids) + 1}"
-                )
-                if not event_id:
-                    raise LogFormatError(f"row {number}: empty event id")
-                event_ids.append(event_id)
-                activities.append(frozenset({activity}))
-                t_min.append(instant)
-                t_max.append(instant)
-                determinate.append(True)
-    except UnicodeDecodeError:
-        raise _undecodable_line(source) from None
-    except csv.Error as err:
-        # such as a field longer than the csv module's limit; the DictReader's
-        # own line_num is set only after a row parses, its reader's before
-        raise LogFormatError(f"line {reader.reader.line_num}: {err}") from err
+    with open(source, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
+        records = _csv_records(handle)
+        _, header = next(records, (1, []))
+        for name in [case_col, activity_col, time_col] + ([id_col] if id_col else []):
+            if name not in header:
+                raise LogFormatError(f"line 1: missing column {name!r} (found {header})")
+        for number, fields in records:
+            if not fields:
+                continue  # a blank line
+            # a short row leaves its last columns empty
+            row = dict(zip(header, fields))
+            case_id = row.get(case_col, "").strip()
+            activity = row.get(activity_col, "").strip()
+            if not case_id:
+                raise LogFormatError(f"line {number}: empty case value")
+            if not activity:
+                raise LogFormatError(f"line {number}: empty activity value")
+            try:
+                instant = parse_timestamp(row.get(time_col, ""))
+            except ValueError as err:
+                raise LogFormatError(f"line {number}: bad timestamp ({err})") from err
+            columns = cases.setdefault(case_id, ([], [], [], [], []))
+            event_ids, activities, t_min, t_max, determinate = columns
+            event_id = row.get(id_col, "").strip() if id_col else f"{case_id}#{len(event_ids) + 1}"
+            if not event_id:
+                raise LogFormatError(f"line {number}: empty event id")
+            event_ids.append(event_id)
+            activities.append(frozenset({activity}))
+            t_min.append(instant)
+            t_max.append(instant)
+            determinate.append(True)
     return _build_log(cases)
 
 

@@ -8,9 +8,10 @@ is derived from the timestamp intervals, never from storage order.
 
 A trace holds its events as columns: ids, activity sets, determinate
 flags, and the interval ends as int64 arrays.  Readers and generators
-build traces straight from columns, and the graph constructions read
-the columns, so ``UncertainEvent`` objects are made only when a caller
-asks for ``trace.events`` (the oracle does).
+build traces straight from columns, and the graph constructions and
+the oracle read the columns.  ``UncertainEvent`` objects are made only
+when a caller asks for ``trace.events``, anew on each access; no code
+in the package asks.
 
 Timestamps are integer milliseconds since the Unix epoch, from year 1
 to year 9999 (the range the JSONL writer formats).  A certain timestamp
@@ -76,16 +77,16 @@ class UncertainTrace:
     from event objects, and ``UncertainTrace.from_columns`` from one
     sequence per attribute, which never makes an event object.  The
     first takes the events' columns and runs the body of the second,
-    so both check, sort and store the same way.  The ``events`` tuple
-    is built on first access, and kept.  Equality and hashing compare
-    the case id and the columns.
+    so both check, sort and store the same way.  The columns are all a
+    trace stores: ``events`` makes a new tuple of events on each access.
+    Equality and hashing compare the case id and the columns.
 
     A trace is valid by construction: both routes run the rules of
     ``validate_trace`` and raise InvalidTraceError with every violation,
     so no consumer of a trace checks it again.
     """
 
-    __slots__ = ("case_id", "event_ids", "activities", "determinate", "t_min", "t_max", "_events")
+    __slots__ = ("case_id", "event_ids", "activities", "determinate", "t_min", "t_max")
 
     def __init__(self, case_id: str, events: Iterable[UncertainEvent] = ()) -> None:
         # one tuple per field, in the order _fill takes them
@@ -134,25 +135,20 @@ class UncertainTrace:
         bounds.flags.writeable = False
         setter(self, "t_min", bounds[0])
         setter(self, "t_max", bounds[1])
-        setter(self, "_events", None)
 
     @property
     def events(self) -> tuple[UncertainEvent, ...]:
-        """The events in canonical order, made on first access and kept."""
-        events = self._events
-        if events is None:
-            events = tuple(
-                map(
-                    UncertainEvent,
-                    self.event_ids,
-                    self.activities,
-                    self.t_min.tolist(),
-                    self.t_max.tolist(),
-                    self.determinate,
-                )
+        """The events in canonical order, made anew on each access."""
+        return tuple(
+            map(
+                UncertainEvent,
+                self.event_ids,
+                self.activities,
+                self.t_min.tolist(),
+                self.t_max.tolist(),
+                self.determinate,
             )
-            object.__setattr__(self, "_events", events)
-        return events
+        )
 
     def _key(self) -> tuple:
         return (
@@ -302,28 +298,28 @@ def _violations(
         elif not event_id:
             violations.append("empty event id")
         elif event_id in seen:
-            violations.append(f"duplicate event id {event_id}")
+            violations.append(f"duplicate event id {event_id!r}")
         else:
             seen.add(event_id)
         if isinstance(labels, str) or not isinstance(labels, Collection):
-            violations.append(f"event {event_id} has activities that are not a set of labels")
+            violations.append(f"event {event_id!r} has activities that are not a set of labels")
         elif not labels:
-            violations.append(f"event {event_id} has no activity labels")
+            violations.append(f"event {event_id!r} has no activity labels")
         elif not set(map(type, labels)) <= {str}:
-            violations.append(f"event {event_id} has an activity label that is not a string")
+            violations.append(f"event {event_id!r} has an activity label that is not a string")
         elif not _is_text(*labels):
-            violations.append(f"event {event_id} has an activity label that is not UTF-8 text")
+            violations.append(f"event {event_id!r} has an activity label that is not UTF-8 text")
         kinds = {type(low), type(high)}
         if not kinds <= {int, bool}:
-            violations.append(f"event {event_id} has non-integer timestamps")
+            violations.append(f"event {event_id!r} has non-integer timestamps")
         elif bool in kinds:
-            violations.append(f"event {event_id} has bool timestamps")
+            violations.append(f"event {event_id!r} has bool timestamps")
         elif low > high:
-            violations.append(f"event {event_id} has t_min {low} > t_max {high}")
+            violations.append(f"event {event_id!r} has t_min {low} > t_max {high}")
         elif low < MIN_TIMESTAMP_MS or high > MAX_TIMESTAMP_MS:
-            violations.append(f"event {event_id} has timestamps outside years 1 to 9999")
+            violations.append(f"event {event_id!r} has timestamps outside years 1 to 9999")
         if type(flag) is not bool:
-            violations.append(f"event {event_id} has a non-bool determinate flag")
+            violations.append(f"event {event_id!r} has a non-bool determinate flag")
     return violations
 
 
@@ -352,7 +348,7 @@ def validate_log(log: UncertainLog) -> list[str]:
     for trace in log.traces:
         case_id, event_ids = trace.case_id, trace.event_ids
         if case_id in seen_cases:
-            violations.append(f"duplicate case id {case_id}")
+            violations.append(f"duplicate case id {case_id!r}")
         seen_cases.add(case_id)
         if not seen_events.isdisjoint(event_ids):
             if not first_case:
@@ -360,7 +356,7 @@ def validate_log(log: UncertainLog) -> list[str]:
                 # each id keeps the first case that holds it
                 first_case = {e: t.case_id for t in reversed(log.traces) for e in t.event_ids}
             violations.extend(
-                f"event id {event_id} appears in more than one trace: "
+                f"event id {event_id!r} appears in more than one trace: "
                 f"{first_case[event_id]!r} and {case_id!r}"
                 for event_id in event_ids
                 if event_id in seen_events

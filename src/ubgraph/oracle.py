@@ -25,7 +25,7 @@ from itertools import combinations, product
 from math import prod
 from typing import Iterator
 
-from .model import SizeLimitError, UncertainEvent, UncertainTrace, precedes
+from .model import SizeLimitError, UncertainTrace
 
 MAX_EXTENSION_EVENTS = 10
 MAX_REALIZATION_EVENTS = 8
@@ -43,27 +43,28 @@ def covering_relation(trace: UncertainTrace) -> frozenset[tuple[str, str]]:
     Direct evaluation of the definition, cubic in the trace length.
     This is the reference edge set of the behavior graph.
     """
-    events = trace.events
+    predecessors = _predecessors(trace)
     return frozenset(
-        (v.event_id, w.event_id)
-        for v in events
-        for w in events
-        if precedes(v, w)
-        and not any(precedes(v, u) and precedes(u, w) for u in events)
+        (v, w)
+        for w, before in predecessors.items()
+        for v in before
+        if not any(v in predecessors[u] for u in before)
     )
 
 
-def _predecessor_map(events: tuple[UncertainEvent, ...]) -> dict[str, set[str]]:
+def _predecessors(trace: UncertainTrace) -> dict[str, set[str]]:
+    """Each event id w mapped to the ids v certainly before it: t_max[v] < t_min[w]."""
+    ids, ends = trace.event_ids, trace.t_max.tolist()
     return {
-        w.event_id: {v.event_id for v in events if precedes(v, w)}
-        for w in events
+        w: {v for v, end in zip(ids, ends) if end < start}
+        for w, start in zip(ids, trace.t_min.tolist())
     }
 
 
-def _extensions(events: tuple[UncertainEvent, ...]) -> set[tuple[str, ...]]:
-    """All orderings of ``events`` consistent with the precedence relation."""
-    predecessors = _predecessor_map(events)
-    remaining = {e.event_id for e in events}
+def _extensions(trace: UncertainTrace) -> set[tuple[str, ...]]:
+    """All orderings of the trace's events consistent with the precedence relation."""
+    predecessors = _predecessors(trace)
+    remaining = set(trace.event_ids)
     sequence: list[str] = []
     found: set[tuple[str, ...]] = set()
 
@@ -85,16 +86,16 @@ def _extensions(events: tuple[UncertainEvent, ...]) -> set[tuple[str, ...]]:
 
 
 def linear_extensions(trace: UncertainTrace) -> frozenset[tuple[str, ...]]:
-    """Every total order of the trace's events consistent with precedes.
+    """Every total order of the trace's events that keeps their certain order.
 
     Refuses traces longer than MAX_EXTENSION_EVENTS events.
     """
-    if len(trace.events) > MAX_EXTENSION_EVENTS:
+    if len(trace) > MAX_EXTENSION_EVENTS:
         raise SizeLimitError(
-            f"trace {trace.case_id!r} has {len(trace.events)} events; "
+            f"trace {trace.case_id!r} has {len(trace)} events; "
             f"linear extension enumeration is limited to {MAX_EXTENSION_EVENTS}"
         )
-    return frozenset(_extensions(trace.events))
+    return frozenset(_extensions(trace))
 
 
 def possible_immediate_successor(trace: UncertainTrace, v: str, w: str) -> bool:
@@ -103,9 +104,8 @@ def possible_immediate_successor(trace: UncertainTrace, v: str, w: str) -> bool:
     Note this is weaker than certain precedence: two events with
     overlapping intervals can each directly follow the other.
     """
-    known = {e.event_id for e in trace.events}
     for event_id in (v, w):
-        if event_id not in known:
+        if event_id not in trace.event_ids:
             raise ValueError(f"unknown event id {event_id!r}")
     for sequence in linear_extensions(trace):
         for a, b in zip(sequence, sequence[1:]):
@@ -133,11 +133,10 @@ def _realizations(trace: UncertainTrace) -> Iterator[tuple[tuple[str, ...], list
             f"trace {trace.case_id!r} has {len(trace)} events; realization "
             f"enumeration is limited to {MAX_REALIZATION_EVENTS}"
         )
-    events = trace.events
-    extensions_all = _extensions(events)
-    indeterminate = [e.event_id for e in events if not e.determinate]
+    extensions_all = _extensions(trace)
+    indeterminate = [i for i, flag in zip(trace.event_ids, trace.determinate) if not flag]
     bound = (
-        prod(len(e.activities) for e in events)
+        prod(map(len, trace.activities))
         * 2 ** len(indeterminate)
         * max(len(extensions_all), 1)
     )
@@ -146,7 +145,7 @@ def _realizations(trace: UncertainTrace) -> Iterator[tuple[tuple[str, ...], list
             f"trace {trace.case_id!r} admits up to {bound} realizations; "
             f"enumeration is limited to {MAX_REALIZATIONS}"
         )
-    labels = {e.event_id: sorted(e.activities) for e in events}
+    labels = dict(zip(trace.event_ids, map(sorted, trace.activities)))
     for k in range(len(indeterminate) + 1):
         for dropped in combinations(indeterminate, k):
             if k:

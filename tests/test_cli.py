@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from test_acceptance import CRITERION_4, CRITERION_5, CRITERION_6
 
 from ubgraph import (
@@ -321,6 +326,102 @@ def test_exit_contract_on_generated_and_broken_logs(tmp_path, capsys, mutation, 
         assert re.search(r"\bline [0-9]+: ", err) or any(f"'{case}'" in err for case in cases)
 
 
+_KEYS = ["case", "event", "activities", "t_min", "t_max", "determinate"]
+# stands in for a raw JSON token that json.dumps cannot write
+_RAW = "\x00raw\x00"
+
+
+@functools.cache
+def _generated_lines(traces: int, length: int, seed: int) -> tuple[str, ...]:
+    # a small log in write_log's exact form, with all three kinds of uncertainty
+    with tempfile.TemporaryDirectory() as directory:
+        path = _generate(Path(directory), **{
+            "--traces": str(traces), "--length": str(length), "--seed": str(seed),
+            "--p-activity": "0.4", "--p-indeterminate": "0.2",
+        })
+        return tuple(path.read_text().splitlines())
+
+
+@st.composite
+def _mutated_logs(draw):
+    """The lines of a small generated log with one drawn mutation, and its case ids."""
+    sizes = (st.integers(2, 4), st.integers(2, 5), st.integers(0, 3))
+    lines = _generated_lines(*map(draw, sizes))
+    records = [json.loads(line) for line in lines]
+    cases = sorted({record["case"] for record in records})
+    position = draw(st.integers(0, len(records) - 1))
+    record = records[position]
+    raw = ""
+    kind = draw(st.sampled_from(
+        ["deleted-key", "bad-timestamp", "repeated-id", "awkward-labels",
+         "colliding-case-names", "deep-nesting", "long-integer"]
+    ))
+    if kind == "deleted-key":
+        del record[draw(st.sampled_from(_KEYS))]
+    elif kind == "bad-timestamp":
+        record[draw(st.sampled_from(["t_min", "t_max"]))] = draw(st.one_of(
+            st.sampled_from([
+                "", "not a date", "2011-13-05T00:00:00.000Z", "2011-02-30T00:00:00.000Z",
+                "10000-01-01T00:00:00.000Z", "0001-01-01T00:30:00+01:00", "00-00-0000",
+                "9999-12-31T23:59:59.999-01:00", "2011-12-05T00:00:00.000",
+            ]),
+            st.text(max_size=30),
+        ))
+    elif kind == "repeated-id":
+        # one drawn id for two events, of the same case or of two cases
+        other = records[(position + draw(st.integers(1, len(records) - 1))) % len(records)]
+        ids = st.text("a\n\r\x85\u2028 '\"\\é", min_size=1, max_size=4)
+        record["event"] = other["event"] = draw(ids)
+    elif kind == "awkward-labels":
+        label = st.lists(st.sampled_from([",", '"', "\ud800", "a", " ", "\\"]), max_size=4)
+        record["activities"] = draw(st.lists(label.map("".join), min_size=1, max_size=3))
+    elif kind == "colliding-case-names":
+        # _safe_name turns each of these characters into "_"
+        stem = draw(st.text("ab_.", max_size=3))
+        unsafe = st.sampled_from(" :/@'\\\né")
+        first, second = draw(st.lists(unsafe, min_size=2, max_size=2, unique=True))
+        renamed = {cases[0]: stem + first, cases[1]: stem + second}
+        for each in records:
+            each["case"] = renamed.get(each["case"], each["case"])
+        cases = sorted({each["case"] for each in records})
+    else:
+        key = draw(st.sampled_from(_KEYS))
+        record[key] = _RAW
+        if kind == "deep-nesting":
+            depth = draw(st.one_of(st.integers(1, 3000), st.just(200_000)))
+            raw = "[" * depth + ("]" * depth if draw(st.booleans()) else "")
+        else:
+            raw = draw(st.sampled_from(["", "-"])) + "1" * 5001
+    text = "".join(
+        json.dumps(each).replace(json.dumps(_RAW), raw) + "\n" for each in records
+    )
+    return text, cases
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(_mutated_logs())
+def test_exit_contract_on_drawn_mutations(tmp_path, capsys, drawn):
+    # every subcommand succeeds, or exits 1 with one "error: " line that
+    # names a line of the log or quotes one of its case ids
+    text, cases = drawn
+    with tempfile.TemporaryDirectory(dir=tmp_path) as directory:
+        log_path = Path(directory) / "log.jsonl"
+        log_path.write_text(text, encoding="ascii")
+        for command in sorted(_SUBCOMMANDS):
+            capsys.readouterr()
+            argv = [part.format(tmp=directory) for part in _SUBCOMMANDS[command]]
+            code = run([*argv, "--in", str(log_path)])
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            if code != 0:
+                assert code == 1
+                assert len(err.splitlines()) == 1
+                assert err.startswith("error: ") and err.endswith("\n")
+                assert re.search(r"\bline [0-9]+: ", err) or any(repr(case) in err for case in cases)
+
+
 @pytest.mark.parametrize(
     "line",
     ["[" * 200_000, '{"case": ' + "1" * 5001 + "}"],
@@ -390,7 +491,61 @@ def test_import_csv_bad_row_exits_one(tmp_path, capsys):
     assert run(["import-csv", "--in", str(source), "--case-col", "case",
                 "--activity-col", "activity", "--time-col", "timestamp",
                 "--out", str(tmp_path / "x.jsonl")]) == 1
-    assert "row 1" in capsys.readouterr().err
+    assert "line 2: bad timestamp" in capsys.readouterr().err
+
+
+_WRITERS = {
+    # each command that writes one file, and the function that starts its work
+    "generate": (["generate", "--traces", "2000", "--length", "50", "--p-time", "0.4",
+                  "--seed", "1", "--out"], cli, "generate_certain_log"),
+    "bench": (["bench", "traces", "--points", "10,20,40", "--reps", "1", "--seed", "0",
+               "--report"], bench, "run_experiment"),
+    "udfg": (["udfg", "--in", "log.jsonl", "--out"], cli, "read_log"),
+    "import-csv": (["import-csv", "--in", "events.csv", "--case-col", "case",
+                    "--activity-col", "activity", "--time-col", "timestamp", "--out"],
+                   cli, "import_certain_csv"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_WRITERS))
+def test_missing_output_directory_exits_one_before_any_work(
+    tmp_path, capsys, monkeypatch, command
+):
+    argv, module, name = _WRITERS[command]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+
+    monkeypatch.setattr(module, name, no_work)
+    out = tmp_path / "nodir" / "out.csv"
+    assert run([*argv, str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write {str(out)!r}: directory {str(out.parent)!r} does not exist\n"
+    )
+    assert run([*argv, str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {str(tmp_path)!r}: it is a directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_leaves_no_new_file(tmp_path, capsys, monkeypatch):
+    def write_then_fail(log, destination):
+        Path(destination).write_text("partial")
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(cli, "write_log", write_then_fail)
+    out = tmp_path / "log.jsonl"
+
+    def generate(traces):
+        return run(["generate", "--traces", traces, "--length", "3", "--p-time", "0.4",
+                    "--seed", "1", "--out", str(out)])
+
+    assert generate("2") == 1
+    assert capsys.readouterr().err == "error: No space left on device\n"
+    assert list(tmp_path.iterdir()) == []
+    # a file that was there before is not removed by a run that fails before writing
+    out.write_text("kept")
+    assert generate("0") == 1
+    assert out.read_text() == "kept"
 
 
 def test_bench_writes_report(tmp_path, capsys):

@@ -21,13 +21,17 @@ from ubgraph import (
     UncertainTrace,
     build_baseline,
     build_sweep,
+    covering_relation,
+    enumerate_realizations,
     export_dot,
     generate_certain_log,
     import_certain_csv,
     inject_activity_uncertainty,
     inject_indeterminacy,
     inject_time_uncertainty,
+    linear_extensions,
     read_log,
+    udfg_bounds_trace,
     validate_log,
     write_log,
 )
@@ -85,7 +89,7 @@ def _reference_event(line: str, number: int) -> tuple[str, UncertainEvent]:
     if not isinstance(activities, list) or not all(isinstance(a, str) for a in activities):
         raise LogFormatError(f"line {number}: activities must be a list of strings")
     if not activities:
-        raise LogFormatError(f"line {number}: event {event_id} has no activity labels")
+        raise LogFormatError(f"line {number}: event {event_id!r} has no activity labels")
     # the surrogates are the only code points that UTF-8 cannot encode
     if any("\ud800" <= char <= "\udfff" for text in (case_id, event_id, *activities) for char in text):
         raise LogFormatError(
@@ -99,7 +103,7 @@ def _reference_event(line: str, number: int) -> tuple[str, UncertainEvent]:
     except ValueError as err:
         raise LogFormatError(f"line {number}: bad timestamp ({err})") from err
     if t_min > t_max:
-        raise LogFormatError(f"line {number}: event {event_id} has t_min after t_max")
+        raise LogFormatError(f"line {number}: event {event_id!r} has t_min after t_max")
     return case_id, UncertainEvent(event_id, frozenset(activities), t_min, t_max, determinate)
 
 
@@ -324,7 +328,7 @@ def test_read_rejects_duplicate_event_ids(tmp_path):
         "t_max": "2011-12-05T00:00:00Z",
     }
     path.write_text(json.dumps(record) + "\n" + json.dumps(record) + "\n")
-    with pytest.raises(LogFormatError, match="duplicate event id e1"):
+    with pytest.raises(LogFormatError, match="duplicate event id 'e1'"):
         read_log(path)
 
 
@@ -347,8 +351,8 @@ def test_read_reports_every_violation_in_one_error(tmp_path):
     with pytest.raises(LogFormatError) as caught:
         read_log(path)
     assert str(caught.value) == (
-        "invalid trace 'c1': duplicate event id x; invalid trace 'c2': duplicate event id y; "
-        "event id z appears in more than one trace: 'c3' and 'c4'"
+        "invalid trace 'c1': duplicate event id 'x'; invalid trace 'c2': duplicate event id 'y'; "
+        "event id 'z' appears in more than one trace: 'c3' and 'c4'"
     )
 
 
@@ -370,7 +374,7 @@ def test_read_reports_the_violations_of_one_case_in_line_order(tmp_path):
     path.write_text("".join(json.dumps(line) + "\n" for line in lines))
     with pytest.raises(LogFormatError) as caught:
         read_log(path)
-    assert str(caught.value) == "invalid trace 'c': empty event id; duplicate event id b"
+    assert str(caught.value) == "invalid trace 'c': empty event id; duplicate event id 'b'"
 
 
 def test_import_csv(tmp_path):
@@ -399,15 +403,33 @@ def test_import_csv_with_id_column(tmp_path):
 def test_import_csv_rejects_repeated_id_column_value(tmp_path):
     path = tmp_path / "events.csv"
     path.write_text("case,activity,timestamp,id\nc1,a,05-12-2011,ev9\nc1,b,06-12-2011,ev9\n")
-    with pytest.raises(LogFormatError, match="duplicate event id ev9"):
+    with pytest.raises(LogFormatError, match="duplicate event id 'ev9'"):
         import_certain_csv(path, "case", "activity", "timestamp", id_col="id")
 
 
 def test_import_csv_reports_row_numbers(tmp_path):
+    # a refusal names the file line its record starts on; after the header, the
+    # first record below spans lines 2 and 3, so the next one starts on line 4,
+    # whichever check refuses it and whichever of its lines is bad
     path = tmp_path / "events.csv"
-    path.write_text("case,activity,timestamp\nc1,a,05-12-2011\nc1,b,not-a-date\n")
-    with pytest.raises(LogFormatError, match="row 2"):
-        import_certain_csv(path, "case", "activity", "timestamp")
+    limit = csv.field_size_limit()
+    head = b'case,activity,timestamp\nc1,"a\nb",05-12-2011\n'
+    for text, message in [
+        (b"case,activity,timestamp\nc1,a,05-12-2011\nc1,b,not-a-date\n",
+         "line 3: bad timestamp (Invalid isoformat string: 'not-a-date')"),
+        (head + b"c1,b,not-a-date\n",
+         "line 4: bad timestamp (Invalid isoformat string: 'not-a-date')"),
+        (head + b"c1,,06-12-2011\n", "line 4: empty activity value"),
+        (head + b" ,b,06-12-2011\n", "line 4: empty case value"),
+        (head + b"c1,b\xff,06-12-2011\n", "line 4: not UTF-8 text (byte 0xff)"),
+        (head + b'c1,"b\n\xff",06-12-2011\n', "line 4: not UTF-8 text (byte 0xff)"),
+        (head + b'c1,"b\n' + b"b" * limit + b'",06-12-2011\n',
+         f"line 4: field larger than field limit ({limit})"),
+    ]:
+        path.write_bytes(text + b"c1,c,07-12-2011\n")
+        with pytest.raises(LogFormatError) as caught:
+            import_certain_csv(path, "case", "activity", "timestamp")
+        assert str(caught.value) == message
 
 
 def test_import_csv_missing_column(tmp_path):
@@ -610,7 +632,7 @@ def test_read_refuses_instants_outside_the_writer_range(tmp_path):
     path.write_text(json.dumps(record) + "\n")
     with pytest.raises(LogFormatError) as caught:
         read_log(path)
-    assert str(caught.value) == "invalid trace 'c': event e1 has timestamps outside years 1 to 9999"
+    assert str(caught.value) == "invalid trace 'c': event 'e1' has timestamps outside years 1 to 9999"
 
 
 def test_bad_timestamp_quotes_the_text_in_the_file(tmp_path):
@@ -846,6 +868,11 @@ def test_graph_path_makes_no_event_objects(tmp_path, monkeypatch):
     read = read_log(path)
     for trace in read.traces:
         export_dot(build_sweep(trace), tmp_path / f"{trace.case_id}.dot")
+        # the oracle reads the same columns
+        udfg_bounds_trace(trace)
+        covering_relation(trace)
+        linear_extensions(trace)
+        enumerate_realizations(trace)
     assert made == []
     # built on demand afterwards, one object per event, they are the
     # events the reference reader makes
@@ -932,7 +959,7 @@ def test_write_refuses_duplicate_case_ids(tmp_path):
     path.write_text("untouched\n")
     with pytest.raises(ValueError) as caught:
         write_log(log, path)
-    assert str(caught.value) == "cannot write the log: duplicate case id c"
+    assert str(caught.value) == "cannot write the log: duplicate case id 'c'"
     assert path.read_text() == "untouched\n"
 
 
@@ -947,7 +974,7 @@ def test_write_refuses_an_event_id_in_two_traces(tmp_path):
     with pytest.raises(ValueError) as caught:
         write_log(log, path)
     assert str(caught.value) == (
-        "cannot write the log: event id e2 appears in more than one trace: 'c' and 'd'; "
-        "event id e1 appears in more than one trace: 'c' and 'd'"
+        "cannot write the log: event id 'e2' appears in more than one trace: 'c' and 'd'; "
+        "event id 'e1' appears in more than one trace: 'c' and 'd'"
     )
     assert not path.exists()

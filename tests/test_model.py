@@ -57,7 +57,7 @@ def _violations(*events):
 
 def test_validate_duplicate_id():
     assert _violations(_event("e1", 0, 0), _event("e1", 5, 5)) == [
-        "duplicate event id e1"
+        "duplicate event id 'e1'"
     ]
 
 
@@ -67,13 +67,13 @@ def test_validate_empty_id():
 
 def test_validate_empty_activities():
     assert _violations(UncertainEvent("e1", frozenset(), 0, 0)) == [
-        "event e1 has no activity labels"
+        "event 'e1' has no activity labels"
     ]
 
 
 def test_validate_interval_backwards():
     assert _violations(UncertainEvent("e1", frozenset({"a"}), 9, 2)) == [
-        "event e1 has t_min 9 > t_max 2"
+        "event 'e1' has t_min 9 > t_max 2"
     ]
 
 
@@ -81,22 +81,22 @@ def test_validate_bool_timestamps():
     # bool subclasses int but is not a timestamp; violations come in the
     # caller's order, since the rules run before the sort
     assert _violations(_event("e1", True, 5), _event("e2", 0, False)) == [
-        "event e1 has bool timestamps",
-        "event e2 has bool timestamps",
+        "event 'e1' has bool timestamps",
+        "event 'e2' has bool timestamps",
     ]
 
 
 def test_validate_numpy_integer_timestamps():
     # refused on purpose: the JSONL writer cannot format numpy integers
     assert _violations(_event("e1", np.int64(0), np.int64(5))) == [
-        "event e1 has non-integer timestamps"
+        "event 'e1' has non-integer timestamps"
     ]
 
 
 @pytest.mark.parametrize("flag", [np.bool_(False), "no", None, 1], ids=repr)
 def test_validate_non_bool_determinate_flags(flag):
     # refused on purpose: the JSONL writer would write any truthy flag as true
-    expected = ["event e2 has a non-bool determinate flag"]
+    expected = ["event 'e2' has a non-bool determinate flag"]
     assert _violations(_event("e1", 0, 0), _event("e2", 5, 5, determinate=flag)) == expected
     with pytest.raises(InvalidTraceError) as caught:
         UncertainTrace.from_columns("c", ["e1", "e2"], [{"a"}, {"b"}], [0, 5], [0, 5], [True, flag])
@@ -115,7 +115,7 @@ def test_validate_non_bool_determinate_flags(flag):
 def test_validate_timestamps_outside_the_writer_range(t_min, t_max):
     # refused on purpose: the JSONL writer formats years 1 to 9999 only
     assert _violations(_event("e1", t_min, t_max)) == [
-        "event e1 has timestamps outside years 1 to 9999"
+        "event 'e1' has timestamps outside years 1 to 9999"
     ]
 
 
@@ -123,24 +123,24 @@ def test_validate_timestamps_outside_the_writer_range(t_min, t_max):
     "case_id, events, expected",
     [
         # timestamps that do not compare with the other events' ints
-        ("c", [_event("a", "5", "6"), _event("b", 1, 2)], ["event a has non-integer timestamps"]),
+        ("c", [_event("a", "5", "6"), _event("b", 1, 2)], ["event 'a' has non-integer timestamps"]),
         # an id that does not compare with the str id it ties with
         ("c", [_event(None, 1, 2), _event("b", 1, 2)], ["event id None is not a string"]),
         ("c", [_event(7, 1, 2), _event("b", 3, 4)], ["event id 7 is not a string"]),
         ("c", [_event("a", 1, 2, labels=(3, "x"))],
-         ["event a has an activity label that is not a string"]),
+         ["event 'a' has an activity label that is not a string"]),
         (5, [_event("a", 1, 2)], ["case id 5 is not a string"]),
         # a str is no label set: its letters must not pass for labels
         ("c", [UncertainEvent("e1", "register", 0, 0)],
-         ["event e1 has activities that are not a set of labels"]),
+         ["event 'e1' has activities that are not a set of labels"]),
         ("c", [UncertainEvent("e1", 5, 0, 0)],
-         ["event e1 has activities that are not a set of labels"]),
+         ["event 'e1' has activities that are not a set of labels"]),
         ("c", [_event("e0", 0, 0), UncertainEvent("e1", "ab", 0, 0)],
-         ["event e1 has activities that are not a set of labels"]),
+         ["event 'e1' has activities that are not a set of labels"]),
         # a lone surrogate is a str that no UTF-8 file can hold
         ("c", [_event("e\ud800", 1, 2)], ["event id 'e\\ud800' is not UTF-8 text"]),
         ("c", [_event("a", 1, 2, labels=("x", "\udfff"))],
-         ["event a has an activity label that is not UTF-8 text"]),
+         ["event 'a' has an activity label that is not UTF-8 text"]),
         ("c\ud800", [_event("a", 1, 2)], ["case id 'c\\ud800' is not UTF-8 text"]),
     ],
     ids=[
@@ -175,9 +175,9 @@ def test_trace_construction_raises_with_all_violations():
     # in the caller's order: the second e1 is the duplicate
     violations = _violations(UncertainEvent("e1", frozenset(), 5, 1), _event("e1", 0, 0))
     assert violations == [
-        "event e1 has no activity labels",
-        "event e1 has t_min 5 > t_max 1",
-        "duplicate event id e1",
+        "event 'e1' has no activity labels",
+        "event 'e1' has t_min 5 > t_max 1",
+        "duplicate event id 'e1'",
     ]
 
 
@@ -212,7 +212,6 @@ def test_from_columns_equals_the_event_route():
     expected = UncertainTrace("c", events)
     assert built == expected and hash(built) == hash(expected)
     assert built.events == expected.events
-    assert built.events is built.events  # made once, then kept
     assert list(built) == list(expected.events) and len(built) == 3
 
 
