@@ -28,6 +28,7 @@ from .oracle import (
 from .loggen import (
     GenerationSpec,
     generate_certain_log,
+    generate_log,
     inject_activity_uncertainty,
     inject_indeterminacy,
     inject_time_uncertainty,

@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .graph import BehaviorGraph, build_baseline, build_sweep
-from .loggen import GenerationSpec, UncertainLog, generate_certain_log, inject_time_uncertainty
+from .loggen import GenerationSpec, UncertainLog, generate_log
 
 ALGORITHMS: dict[str, Callable] = {
     "baseline": build_baseline,
@@ -132,7 +132,7 @@ def run_experiment(
     def make_log(value: float) -> UncertainLog:
         settings = {**fixed, varies: value}
         spec = GenerationSpec(int(settings["traces"]), int(settings["length"]), seed=seed)
-        return inject_time_uncertainty(generate_certain_log(spec), settings["p_time"], seed)
+        return generate_log(spec, p_time=settings["p_time"])
 
     values = row["points"] if values is None else values
     if not values:

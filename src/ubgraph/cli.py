@@ -21,13 +21,7 @@ from typing import Iterator, Sequence
 from . import bench as bench_mod
 from .bench import EquivalenceError, fit_scaling_exponent
 from .graph import build_baseline, build_sweep
-from .loggen import (
-    GenerationSpec,
-    generate_certain_log,
-    inject_activity_uncertainty,
-    inject_indeterminacy,
-    inject_time_uncertainty,
-)
+from .loggen import GenerationSpec, generate_log
 from .logio import export_dot, import_certain_csv, read_log, write_log
 from .oracle import covering_relation, udfg_bounds_log
 
@@ -103,14 +97,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         alphabet_size=args.alphabet,
         seed=args.seed,
     )
-    log = generate_certain_log(spec)
-    log = inject_time_uncertainty(log, args.p_time, args.seed)
-    if args.p_activity:
-        log = inject_activity_uncertainty(
-            log, args.p_activity, args.seed, alphabet_size=args.alphabet
-        )
-    if args.p_indeterminate:
-        log = inject_indeterminacy(log, args.p_indeterminate, args.seed)
+    log = generate_log(spec, args.p_time, args.p_activity, args.p_indeterminate)
     size = write_log(log, args.out)
     print(f"wrote {len(log)} traces ({size} bytes) to {args.out}")
     return 0

@@ -1,10 +1,14 @@
 """Seeded synthetic log generation and uncertainty injection.
 
-Generation happens in two steps: build a fully certain log with evenly
-spaced timestamps, then inject the wanted kinds of uncertainty into a
-fixed share of each trace's events.  All randomness flows through
-per-trace substreams keyed by (seed, stage, trace index), so results
-are reproducible and independent of evaluation order.
+Generation happens in stages: draw a fully certain log with evenly
+spaced timestamps, then inject the wanted kinds of uncertainty (time,
+activity, indeterminacy, in that order) into a fixed share of each
+trace's events.  All randomness flows through per-trace substreams
+keyed by (seed, stage, trace index), so results are reproducible and
+independent of evaluation order.  ``generate_log`` runs every stage on
+a trace's columns and builds the trace once; ``generate_certain_log``
+and the ``inject_*`` functions run one stage each, through the same
+per-trace function, and give the same traces.
 
 An injection picks positions in the trace's own event order, by t_min
 and then event id.  Generated traces never tie on t_min, so the
@@ -15,11 +19,12 @@ values, the events that a seed picks depend on it.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import UncertainLog, UncertainTrace
+from .model import UncertainLog, UncertainTrace, canonical_columns
 
 # the spacing of a generated trace's events, in ms
 STRIDE_MS = 1000
@@ -70,58 +75,116 @@ def _rng(seed: int, stage: int, trace_index: int) -> np.random.Generator:
     return np.random.default_rng((seed, stage, trace_index))
 
 
+# an injection stage is (stage tag, p, edit): the tag keys its
+# substreams, p sets how many events of each trace it edits, and edit
+# changes them (see _staged_trace)
+_Stage = tuple[int, float, Callable]
+
+
+def _staged_trace(
+    case_id: str, columns: list[list], seed: int, index: int, stages: list[_Stage]
+) -> UncertainTrace:
+    """The trace built once from ``columns`` after each of ``stages`` edited them in turn.
+
+    ``columns`` are lists of event ids, activity sets, t_min, t_max and
+    determinate flags, in the (t_min, event id) order, and the rows are
+    put back into that order before each stage after the first.  For
+    stage ``(tag, p, edit)``, the generator of ``(seed, tag, index)``
+    picks floor(p * length) positions in that order (see the module
+    docstring); ``edit(rng, chosen, activities, t_min, t_max,
+    determinate)`` then changes the columns in place.
+    """
+    for k, (tag, p, edit) in enumerate(stages):
+        if k:
+            columns = list(map(list, canonical_columns(*columns)))
+        rng = _rng(seed, tag, index)
+        length = len(columns[0])
+        # floor with a tiny guard against p*n landing just below an integer
+        share = int(math.floor(p * length + 1e-9))
+        chosen = rng.choice(length, size=share, replace=False).tolist() if share else []
+        edit(rng, chosen, *columns[1:])
+    return UncertainTrace.from_columns(case_id, *columns)
+
+
+def _checked(p: float) -> float:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability {p} outside [0, 1]")
+    return p
+
+
+def generate_log(
+    spec: GenerationSpec, p_time: float = 0.0, p_activity: float = 0.0, p_indeterminate: float = 0.0
+) -> UncertainLog:
+    """The certain log of ``spec`` with the three kinds of uncertainty injected.
+
+    Equal to ``generate_certain_log(spec)`` passed through
+    ``inject_time_uncertainty``, ``inject_activity_uncertainty`` (with
+    ``spec.alphabet_size``) and ``inject_indeterminacy`` in that order,
+    each with ``spec.seed``, but each trace is built once.  An injection
+    numbers a trace by its place in case-id order, as the injections do
+    on a built log, so c10 comes third.
+    """
+    kinds = (
+        (_STAGE_TIME, p_time, lambda: _widen),
+        (_STAGE_ACTIVITY, p_activity, lambda: _label_adder(spec.alphabet_size)),
+        (_STAGE_INDETERMINATE, p_indeterminate, lambda: _drop),
+    )
+    # a stage that picks no event draws nothing and edits nothing
+    stages = [(tag, _checked(p), make_edit()) for tag, p, make_edit in kinds if p]
+    times = [(k + 1) * STRIDE_MS for k in range(spec.trace_length)]
+    singletons = _Singletons()
+    traces = []
+    numbered = sorted((f"c{number}", number) for number in range(spec.n_traces))
+    for index, (case_id, number) in enumerate(numbered):
+        picks = _rng(spec.seed, _STAGE_GENERATE, number).integers(
+            0, spec.alphabet_size, size=spec.trace_length
+        )
+        columns = [
+            [f"{case_id}#{k + 1}" for k in range(spec.trace_length)],
+            list(map(singletons.__getitem__, picks.tolist())),
+            times.copy(),
+            times.copy(),
+            [True] * spec.trace_length,
+        ]
+        traces.append(_staged_trace(case_id, columns, spec.seed, index, stages))
+    return UncertainLog(traces=tuple(traces))
+
+
 def generate_certain_log(spec: GenerationSpec) -> UncertainLog:
     """A log of ``n_traces`` traces, each with ``trace_length`` events.
 
     Event k of a trace (1-based) happens at exactly k * 1000 ms with a
-    single activity label drawn uniformly from the alphabet.  Every
-    event is determinate.  Event ids are "<case>#<k>".
+    single activity label drawn uniformly from the alphabet, from the
+    trace's own substream.  Every event is determinate.  Event ids are
+    "<case>#<k>", and case ids "c<trace number>".
     """
+    return generate_log(spec)
+
+
+def _inject(log: UncertainLog, seed: int, stage: _Stage) -> UncertainLog:
+    """``log`` with one stage run on copies of each trace's columns."""
     traces = []
-    times = [(k + 1) * STRIDE_MS for k in range(spec.trace_length)]
-    singletons = _Singletons()
-    for t in range(spec.n_traces):
-        case_id = f"c{t}"
-        rng = _rng(spec.seed, _STAGE_GENERATE, t)
-        picks = rng.integers(0, spec.alphabet_size, size=spec.trace_length)
-        traces.append(
-            UncertainTrace.from_columns(
-                case_id,
-                [f"{case_id}#{k + 1}" for k in range(spec.trace_length)],
-                list(map(singletons.__getitem__, picks.tolist())),
-                times,
-                times,
-                [True] * spec.trace_length,
-            )
-        )
-    return UncertainLog(traces=tuple(traces))
-
-
-def _inject(log: UncertainLog, p: float, seed: int, stage: int, edit) -> UncertainLog:
-    """``log`` with floor(p * length) events of each trace edited.
-
-    For each trace, the stage's generator picks the positions, in the
-    trace's (t_min, event id) order (see the module docstring), then
-    ``edit(rng, chosen, activities, t_min, t_max, determinate)`` changes
-    copies of the four columns in place; the trace is rebuilt from them.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {p} outside [0, 1]")
-    traces = []
-    for t, trace in enumerate(log.traces):
-        rng = _rng(seed, stage, t)
-        # floor with a tiny guard against p*n landing just below an integer
-        share = int(math.floor(p * len(trace) + 1e-9))
-        chosen = rng.choice(len(trace), size=share, replace=False).tolist() if share else []
-        columns = (
+    for index, trace in enumerate(log.traces):
+        columns = [
+            list(trace.event_ids),
             list(trace.activities),
             trace.t_min.tolist(),
             trace.t_max.tolist(),
             list(trace.determinate),
-        )
-        edit(rng, chosen, *columns)
-        traces.append(UncertainTrace.from_columns(trace.case_id, trace.event_ids, *columns))
+        ]
+        traces.append(_staged_trace(trace.case_id, columns, seed, index, [stage]))
     return UncertainLog(traces=tuple(traces))
+
+
+# half the width of a widened interval, in ms
+_HALF_WIDTH = int(1.5 * STRIDE_MS)
+
+
+def _widen(rng, chosen, activities, t_min, t_max, determinate) -> None:
+    for i in chosen:
+        centre = t_min[i]
+        t_min[i] = centre - _HALF_WIDTH
+        t_max[i] = centre + _HALF_WIDTH
 
 
 def inject_time_uncertainty(log: UncertainLog, p: float, seed: int) -> UncertainLog:
@@ -131,15 +194,43 @@ def inject_time_uncertainty(log: UncertainLog, p: float, seed: int) -> Uncertain
     t + 1.5 * STRIDE_MS], guaranteeing overlap with both neighbors in a
     generated trace.  Other attributes are untouched.
     """
-    half_width = int(1.5 * STRIDE_MS)
+    return _inject(log, seed, (_STAGE_TIME, _checked(p), _widen))
 
-    def widen(rng, chosen, activities, t_min, t_max, determinate):
-        for i in chosen:
-            centre = t_min[i]
-            t_min[i] = centre - half_width
-            t_max[i] = centre + half_width
 
-    return _inject(log, p, seed, _STAGE_TIME, widen)
+def _label_adder(alphabet_size: int) -> Callable:
+    """The activity stage's edit: one new label per chosen event (see inject_activity_uncertainty)."""
+    alphabet = [activity_label(j) for j in range(alphabet_size)]
+    rank = {label: j for j, label in enumerate(alphabet)}
+    # the ascending alphabet ranks of each label set's labels, found once per set
+    held_ranks: dict[frozenset[str], list[int]] = {}
+
+    def add_label(rng, chosen, activities, t_min, t_max, determinate) -> None:
+        # positions in ascending order: the draws follow event order
+        for i in sorted(chosen):
+            labels = activities[i]
+            held = held_ranks.get(labels)
+            if held is None:
+                held = held_ranks[labels] = sorted(rank[l] for l in labels if l in rank)
+            if len(held) < alphabet_size:
+                # draw the k-th alphabet label the event lacks, with the
+                # value and generator state of choice(lacking, size=1,
+                # replace=False) (see the tests), then step past the held
+                # ranks to its own
+                j = int(rng.integers(alphabet_size - len(held)))
+                for h in held:
+                    if h <= j:
+                        j += 1
+                added = alphabet[j]
+            else:
+                # the first label past the alphabet that the event lacks is
+                # its only choice, and a draw from one takes no random bits
+                j = alphabet_size
+                while activity_label(j) in labels:
+                    j += 1
+                added = activity_label(j)
+            activities[i] = labels | {added}
+
+    return add_label
 
 
 def inject_activity_uncertainty(
@@ -151,30 +242,14 @@ def inject_activity_uncertainty(
     from the alphabet (extended past ``alphabet_size`` if the event
     already holds all of it).
     """
-    alphabet = [activity_label(j) for j in range(alphabet_size)]
+    return _inject(log, seed, (_STAGE_ACTIVITY, _checked(p), _label_adder(alphabet_size)))
 
-    def add_label(rng, chosen, activities, t_min, t_max, determinate):
-        # positions in ascending order: the draws follow event order
-        for i in sorted(chosen):
-            labels = activities[i]
-            pool = [label for label in alphabet if label not in labels]
-            j = alphabet_size
-            while not pool:
-                label = activity_label(j)
-                if label not in labels:
-                    pool.append(label)
-                j += 1
-            (added,) = rng.choice(len(pool), size=1, replace=False)
-            activities[i] = labels | {pool[added]}
 
-    return _inject(log, p, seed, _STAGE_ACTIVITY, add_label)
+def _drop(rng, chosen, activities, t_min, t_max, determinate) -> None:
+    for i in chosen:
+        determinate[i] = False
 
 
 def inject_indeterminacy(log: UncertainLog, p: float, seed: int) -> UncertainLog:
     """Mark floor(p * length) events per trace as possibly unrecorded."""
-
-    def drop(rng, chosen, activities, t_min, t_max, determinate):
-        for i in chosen:
-            determinate[i] = False
-
-    return _inject(log, p, seed, _STAGE_INDETERMINATE, drop)
+    return _inject(log, seed, (_STAGE_INDETERMINATE, _checked(p), _drop))

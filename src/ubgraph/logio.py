@@ -92,9 +92,44 @@ class _LabelsText(dict):
         return text
 
 
-def _iso_ms(column: np.ndarray) -> list[str]:
-    """A column of epoch milliseconds as format_timestamp gives them, less the final Z."""
-    return np.datetime_as_string(column.view("datetime64[ms]"), unit="ms").tolist()
+class _InstantTexts(dict):
+    """The text of each epoch-ms instant written, as format_timestamp gives it less the final Z.
+
+    Logs repeat instants (generated ones place events on whole seconds),
+    so the texts of a trace whose instants were all written before are
+    looked up, not made.  Any other trace is formatted whole, by one
+    numpy call, and its texts are kept, about _INSTANT_TEXTS_KEPT at a
+    time.  Texts kept that served no trace before they were dropped
+    stop the lookups, so a log whose instants are all distinct pays
+    little more than that numpy call per trace.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.looking_up = True
+        self.served = False
+
+    def of(self, t_min: np.ndarray, t_max: np.ndarray) -> list[str]:
+        """The texts of a trace's t_min column, then of its t_max column."""
+        if self.looking_up:
+            instants = t_min.tolist() + t_max.tolist()
+            try:
+                texts = list(map(self.__getitem__, instants))
+            except KeyError:
+                if len(self) > _INSTANT_TEXTS_KEPT:
+                    self.clear()
+                    self.looking_up, self.served = self.served, False
+            else:
+                self.served = True
+                return texts
+        column = np.concatenate((t_min, t_max)).view("datetime64[ms]")
+        texts = np.datetime_as_string(column, unit="ms").tolist()
+        if self.looking_up:
+            self.update(zip(instants, texts))
+        return texts
+
+
+_INSTANT_TEXTS_KEPT = 4096
 
 
 def write_log(log: UncertainLog, destination: str | Path) -> int:
@@ -111,12 +146,14 @@ def write_log(log: UncertainLog, destination: str | Path) -> int:
     if violations:
         raise ValueError(f"cannot write the log: {'; '.join(violations)}")
     labels_text = _LabelsText()
+    instant_texts = _InstantTexts()
     written = 0
     # the text is ASCII, so its characters are its bytes
     with open(destination, "w", encoding="ascii", newline="") as handle:
         for trace in log.traces:
             head = '{"case": ' + encode_basestring_ascii(trace.case_id) + ', "event": '
-            low, high = _iso_ms(trace.t_min), _iso_ms(trace.t_max)
+            texts = instant_texts.of(trace.t_min, trace.t_max)
+            low, high = texts[: len(trace)], texts[len(trace) :]
             text = "".join(
                 f'{head}{encode_basestring_ascii(event_id)}, "activities": {labels_text[labels]}, '
                 f'"t_min": "{t_min}Z", "t_max": "{t_max}Z", '
@@ -169,9 +206,12 @@ def _row_from_line(
         ) from err
     if not isinstance(determinate, bool):
         raise LogFormatError(f"line {number}: determinate must be a boolean")
+    for key, text in (("t_min", t_min_text), ("t_max", t_max_text)):
+        if not isinstance(text, str):
+            raise LogFormatError(f"line {number}: bad timestamp ({key} is not a string)")
     try:
-        t_min = parse_timestamp(str(t_min_text))
-        t_max = parse_timestamp(str(t_max_text))
+        t_min = parse_timestamp(t_min_text)
+        t_max = parse_timestamp(t_max_text)
     except ValueError as err:
         raise LogFormatError(f"line {number}: bad timestamp ({err})") from err
     if t_min > t_max:

@@ -21,7 +21,8 @@ is represented by a degenerate interval (t_min == t_max).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter, gt
+from itertools import islice
+from operator import attrgetter, gt, lt
 from collections.abc import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -115,17 +116,18 @@ class UncertainTrace:
         return trace
 
     def _fill(self, case_id, event_ids, activities, t_min, t_max, determinate) -> None:
-        # check the columns as given, convert the label sets, then sort the
-        # rows into canonical order and keep them
+        # check the columns as given, put the rows into canonical order,
+        # then convert the label sets and keep them
         if not len(event_ids) == len(activities) == len(t_min) == len(t_max) == len(determinate):
             raise ValueError(f"trace {case_id!r}: columns of different lengths")
         violations = _violations(case_id, event_ids, activities, t_min, t_max, determinate)
         if violations:
             raise InvalidTraceError(case_id, violations)
-        # checked ids are unique strings, so rows never compare past the id;
+        event_ids, activities, t_min, t_max, determinate = canonical_columns(
+            event_ids, activities, t_min, t_max, determinate
+        )
         # frozenset() of a frozenset is the same object
-        rows = sorted(zip(t_min, event_ids, t_max, map(frozenset, activities), determinate))
-        t_min, event_ids, t_max, activities, determinate = tuple(zip(*rows)) or ((),) * 5
+        activities = tuple(map(frozenset, activities))
         setter = object.__setattr__
         setter(self, "case_id", case_id)
         setter(self, "event_ids", event_ids)
@@ -192,6 +194,28 @@ class UncertainTrace:
 
     def __iter__(self) -> Iterator[UncertainEvent]:
         return iter(self.events)
+
+
+def canonical_columns(
+    event_ids: Sequence[str],
+    activities: Sequence[Collection[str]],
+    t_min: Sequence[int],
+    t_max: Sequence[int],
+    determinate: Sequence[bool],
+) -> tuple[tuple, tuple, tuple, tuple, tuple]:
+    """The columns as tuples, their rows in the canonical (t_min, event id) order.
+
+    The event ids must be unique, so rows never compare past the id.
+    Columns whose t_min strictly increases are in that order already and
+    are only copied, not sorted.  Every stage of ``loggen`` but the time
+    one gives such columns, and so does ``read_log`` on a file that
+    ``write_log`` wrote of traces without tied t_min values.
+    """
+    if all(map(lt, t_min, islice(t_min, 1, None))):
+        return tuple(event_ids), tuple(activities), tuple(t_min), tuple(t_max), tuple(determinate)
+    rows = sorted(zip(t_min, event_ids, t_max, activities, determinate))
+    t_min, event_ids, t_max, activities, determinate = tuple(zip(*rows)) or ((),) * 5
+    return event_ids, activities, t_min, t_max, determinate
 
 
 @dataclass(frozen=True)
@@ -272,12 +296,12 @@ def _violations(
     if (
         type(case_id) is str
         and set(map(type, event_ids)) <= {str}
-        and len(set(event_ids)) == len(event_ids)
-        and "" not in event_ids
+        and len(ids := set(event_ids)) == len(event_ids)
+        and "" not in ids
         and set(map(type, activities)) <= {frozenset}
-        and set(map(type, labels := frozenset().union(*activities))) <= {str}
-        and _is_text(case_id, *event_ids, *labels)
         and all(activities)
+        and set(map(type, labels := frozenset().union(*activities))) <= {str}
+        and _is_text(case_id, "".join(event_ids), "".join(labels))
         and {*map(type, t_min), *map(type, t_max)} <= {int}
         and not any(map(gt, t_min, t_max))
         and (not len(t_min) or MIN_TIMESTAMP_MS <= min(t_min) and max(t_max) <= MAX_TIMESTAMP_MS)

@@ -84,11 +84,10 @@ def test_experiments_take_unset_settings_from_the_table(monkeypatch):
     class Generated(Exception):
         pass
 
-    def record(spec, p_time, seed):
+    def record(spec, p_time):
         raise Generated(spec.n_traces, spec.trace_length, p_time)
 
-    monkeypatch.setattr(bench, "generate_certain_log", lambda spec: spec)
-    monkeypatch.setattr(bench, "inject_time_uncertainty", record)
+    monkeypatch.setattr(bench, "generate_log", record)
     first_logs = {
         "length": (2, 512, 0.4),
         "traces": (250, 50, 0.4),

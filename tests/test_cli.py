@@ -353,9 +353,10 @@ def _mutated_logs(draw):
     record = records[position]
     raw = ""
     kind = draw(st.sampled_from(
-        ["deleted-key", "bad-timestamp", "repeated-id", "awkward-labels",
-         "colliding-case-names", "deep-nesting", "long-integer"]
+        ["deleted-key", "bad-timestamp", "non-string-timestamp", "repeated-id",
+         "awkward-labels", "colliding-case-names", "deep-nesting", "long-integer"]
     ))
+    refusal = None
     if kind == "deleted-key":
         del record[draw(st.sampled_from(_KEYS))]
     elif kind == "bad-timestamp":
@@ -367,6 +368,16 @@ def _mutated_logs(draw):
             ]),
             st.text(max_size=30),
         ))
+    elif kind == "non-string-timestamp":
+        # any JSON value but a string, which every subcommand refuses; the
+        # dates in ISO basic form once read as those dates
+        record[draw(st.sampled_from(["t_min", "t_max"]))] = draw(st.one_of(
+            st.sampled_from([20111205, 19700101, 20000229, 99991231]),
+            st.sampled_from([2011, 0, -1, 1.5e12, True, False, None, [], {}]),
+            st.integers(-10**20, 10**20), st.floats(allow_nan=False, allow_infinity=False),
+            st.lists(st.just("2011-12-05T00:00:00.000Z"), min_size=1, max_size=2),
+        ))
+        refusal = f"error: line {position + 1}: bad timestamp ("
     elif kind == "repeated-id":
         # one drawn id for two events, of the same case or of two cases
         other = records[(position + draw(st.integers(1, len(records) - 1))) % len(records)]
@@ -395,7 +406,7 @@ def _mutated_logs(draw):
     text = "".join(
         json.dumps(each).replace(json.dumps(_RAW), raw) + "\n" for each in records
     )
-    return text, cases
+    return text, cases, refusal
 
 
 @settings(
@@ -404,8 +415,9 @@ def _mutated_logs(draw):
 @given(_mutated_logs())
 def test_exit_contract_on_drawn_mutations(tmp_path, capsys, drawn):
     # every subcommand succeeds, or exits 1 with one "error: " line that
-    # names a line of the log or quotes one of its case ids
-    text, cases = drawn
+    # names a line of the log or quotes one of its case ids; a mutation
+    # that every reader must refuse gives the start of that line
+    text, cases, refusal = drawn
     with tempfile.TemporaryDirectory(dir=tmp_path) as directory:
         log_path = Path(directory) / "log.jsonl"
         log_path.write_text(text, encoding="ascii")
@@ -415,6 +427,8 @@ def test_exit_contract_on_drawn_mutations(tmp_path, capsys, drawn):
             code = run([*argv, "--in", str(log_path)])
             err = capsys.readouterr().err
             assert "Traceback" not in err
+            if refusal is not None:
+                assert code == 1 and err.startswith(refusal)
             if code != 0:
                 assert code == 1
                 assert len(err.splitlines()) == 1
@@ -497,7 +511,7 @@ def test_import_csv_bad_row_exits_one(tmp_path, capsys):
 _WRITERS = {
     # each command that writes one file, and the function that starts its work
     "generate": (["generate", "--traces", "2000", "--length", "50", "--p-time", "0.4",
-                  "--seed", "1", "--out"], cli, "generate_certain_log"),
+                  "--seed", "1", "--out"], cli, "generate_log"),
     "bench": (["bench", "traces", "--points", "10,20,40", "--reps", "1", "--seed", "0",
                "--report"], bench, "run_experiment"),
     "udfg": (["udfg", "--in", "log.jsonl", "--out"], cli, "read_log"),

@@ -2,19 +2,25 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ubgraph import (
     GenerationSpec,
     build_baseline,
+    UncertainTrace,
     covering_relation,
     generate_certain_log,
+    generate_log,
     inject_activity_uncertainty,
     inject_indeterminacy,
     inject_time_uncertainty,
     validate_log,
 )
 from ubgraph.cli import run
+from ubgraph.loggen import _label_adder, activity_label
 
 
 def _spec(**overrides):
@@ -169,3 +175,82 @@ def test_generate_bytes_are_pinned_for_the_udfg_benchmark_blocks(tmp_path):
     assert digest.hexdigest() == (
         "c29f02bdde575a4959b959b2ab6f29e36911cdcc5d01dfc33535c2b798c027ac"
     )
+
+
+# the ranges past 2**32 draw 64 bits at a time, the others 32 bits, of
+# which the generator keeps the unused half for the next draw
+_DRAW_RANGES = [1, 2, 3, 25, 26, 27, 1000, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**33]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_integers_draw_equals_a_one_element_choice(seed):
+    # add_label draws with integers(k), and the pinned bytes rest on it
+    # giving the value and the generator state of choice(k, size=1,
+    # replace=False); checked over a run of mixed ranges from 1 to 2**33
+    ranges = np.random.default_rng(seed).choice(_DRAW_RANGES, size=400).tolist()
+    drawn, chosen = np.random.default_rng((seed, 2, 5)), np.random.default_rng((seed, 2, 5))
+    for k in ranges:
+        (expected,) = chosen.choice(k, size=1, replace=False)
+        assert drawn.integers(k) == expected
+        assert drawn.bit_generator.state == chosen.bit_generator.state
+    assert drawn.integers(2**33) == chosen.integers(2**33)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    alphabet_size=st.integers(1, 30),
+    label_sets=st.lists(st.frozensets(st.integers(0, 33).map(activity_label), max_size=31), max_size=8),
+    seed=st.integers(0, 2**32),
+)
+def test_add_label_draws_as_a_choice_from_the_pool_of_lacking_labels(alphabet_size, label_sets, seed):
+    drawn, chosen = np.random.default_rng(seed), np.random.default_rng(seed)
+    edited = list(label_sets)
+    _label_adder(alphabet_size)(drawn, list(range(len(edited))), edited, [], [], [])
+    for labels, got in zip(label_sets, edited):
+        # the pool of labels the event lacks: the alphabet's, else the first one past it
+        pool = [label for label in map(activity_label, range(alphabet_size)) if label not in labels]
+        j = alphabet_size
+        while not pool:
+            if activity_label(j) not in labels:
+                pool.append(activity_label(j))
+            j += 1
+        (k,) = chosen.choice(len(pool), size=1, replace=False)
+        assert got == labels | {pool[k]}
+    assert drawn.bit_generator.state == chosen.bit_generator.state
+
+
+_STAGED_SPECS = [
+    (GenerationSpec(12, 9, seed=4), 0.4, 0.3, 0.2),
+    (GenerationSpec(5, 7, alphabet_size=1, seed=6), 0.2, 1.0, 0.0),
+    (GenerationSpec(3, 20, alphabet_size=30, seed=3), 1.0, 0.5, 1.0),
+    (GenerationSpec(4, 6, seed=0), 0.0, 0.0, 0.5),
+]
+
+
+@pytest.mark.parametrize("spec, p_time, p_activity, p_indeterminate", _STAGED_SPECS)
+def test_generate_log_equals_the_injections_one_by_one(spec, p_time, p_activity, p_indeterminate):
+    log = generate_certain_log(spec)
+    log = inject_time_uncertainty(log, p_time, spec.seed)
+    log = inject_activity_uncertainty(log, p_activity, spec.seed, spec.alphabet_size)
+    log = inject_indeterminacy(log, p_indeterminate, spec.seed)
+    assert generate_log(spec, p_time, p_activity, p_indeterminate) == log
+
+
+def test_generate_log_rejects_bad_probabilities_before_any_work():
+    for probabilities in [(1.5, 0, 0), (0, -0.1, 0), (0, 0, float("nan"))]:
+        with pytest.raises(ValueError, match="outside"):
+            generate_log(GenerationSpec(10**9, 10**9), *probabilities)
+
+
+def test_generate_builds_each_trace_once(tmp_path, monkeypatch):
+    built = []
+    fill = UncertainTrace._fill
+
+    def counted(trace, case_id, *columns):
+        built.append(case_id)
+        fill(trace, case_id, *columns)
+
+    monkeypatch.setattr(UncertainTrace, "_fill", counted)
+    arguments = "--traces 12 --length 9 --p-time 0.4 --p-activity 0.3 --p-indeterminate 0.2 --seed 4"
+    _generate_sha256(tmp_path, arguments)
+    assert sorted(built) == sorted(f"c{t}" for t in range(12))

@@ -7,6 +7,7 @@ import tracemalloc
 from datetime import datetime, timedelta, timezone
 from itertools import repeat
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from ubgraph import (
     write_log,
 )
 from ubgraph import logio
-from ubgraph.logio import LogFormatError, _iso_ms, format_timestamp, parse_timestamp
+from ubgraph.logio import LogFormatError, _InstantTexts, format_timestamp, parse_timestamp
 from ubgraph.model import MAX_TIMESTAMP_MS, MIN_TIMESTAMP_MS
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -97,9 +98,12 @@ def _reference_event(line: str, number: int) -> tuple[str, UncertainEvent]:
         )
     if not isinstance(determinate, bool):
         raise LogFormatError(f"line {number}: determinate must be a boolean")
+    for key, text in (("t_min", t_min_text), ("t_max", t_max_text)):
+        if not isinstance(text, str):
+            raise LogFormatError(f"line {number}: bad timestamp ({key} is not a string)")
     try:
-        t_min = reference_parse_timestamp(str(t_min_text))
-        t_max = reference_parse_timestamp(str(t_max_text))
+        t_min = reference_parse_timestamp(t_min_text)
+        t_max = reference_parse_timestamp(t_max_text)
     except ValueError as err:
         raise LogFormatError(f"line {number}: bad timestamp ({err})") from err
     if t_min > t_max:
@@ -652,6 +656,24 @@ def test_bad_timestamp_quotes_the_text_in_the_file(tmp_path):
     )
 
 
+@pytest.mark.parametrize("key", ["t_min", "t_max"])
+@pytest.mark.parametrize("value", [20111205, 0, 1.5e12, True, None, ["2011-12-05"], {"t": "2011"}])
+def test_read_refuses_timestamps_that_are_not_json_strings(tmp_path, key, value):
+    # a JSON number such as 20111205 once read as the date 2011-12-05
+    path = tmp_path / "log.jsonl"
+    record = {
+        "case": "c",
+        "event": "e1",
+        "activities": ["a"],
+        "t_min": "2011-12-05T00:00:00.000Z",
+        "t_max": "2011-12-06T00:00:00.000Z",
+    }
+    path.write_text(json.dumps(record) + "\n" + json.dumps({**record, "event": "e2", key: value}))
+    with pytest.raises(LogFormatError) as caught:
+        read_log(path)
+    assert str(caught.value) == f"line 2: bad timestamp ({key} is not a string)"
+
+
 _TIMESTAMP_TEXT = st.one_of(
     st.sampled_from(
         [
@@ -942,10 +964,40 @@ def test_write_log_matches_reference_writer(tmp_path_factory, log):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_INSTANTS, max_size=50))
-def test_column_timestamps_match_format_timestamp(instants):
-    column = np.array(instants, dtype=np.int64)
-    assert [text + "Z" for text in _iso_ms(column)] == list(map(format_timestamp, instants))
+@given(st.lists(st.lists(st.tuples(_INSTANTS, _INSTANTS), max_size=25), max_size=6), st.integers(0, 60))
+def test_column_timestamps_match_format_timestamp(traces, kept):
+    # one writer's cache over several traces, kept small enough to be
+    # cleared, so that texts are both looked up and made
+    texts, largest = _InstantTexts(), 0
+    with patch.object(logio, "_INSTANT_TEXTS_KEPT", kept):
+        for pairs in traces:
+            low, high = [pair[0] for pair in pairs], [pair[1] for pair in pairs]
+            made = texts.of(np.array(low, dtype=np.int64), np.array(high, dtype=np.int64))
+            assert [text + "Z" for text in made] == list(map(format_timestamp, low + high))
+            largest = max(largest, len(made))
+            assert len(texts) <= kept + largest
+
+
+def test_instant_texts_stop_looking_up_only_when_no_trace_was_served():
+    distinct, repeated = _InstantTexts(), _InstantTexts()
+    with patch.object(logio, "_INSTANT_TEXTS_KEPT", 10):
+        for start in range(0, 400, 8):
+            distinct.of(np.arange(start, start + 4), np.arange(start + 4, start + 8))
+            repeated.of(np.arange(start % 16, start % 16 + 4), np.arange(4, 8))
+    assert not distinct.looking_up and len(distinct) == 0
+    assert repeated.looking_up
+
+
+@settings(max_examples=150, deadline=None)
+@given(log=_valid_logs(), kept=st.integers(0, 8))
+def test_write_log_with_a_small_instant_cache_matches_reference_writer(
+    tmp_path_factory, log, kept
+):
+    folder = tmp_path_factory.mktemp("written")
+    with patch.object(logio, "_INSTANT_TEXTS_KEPT", kept):
+        write_log(log, folder / "log.jsonl")
+    reference_write_log(log, folder / "reference.jsonl")
+    assert (folder / "log.jsonl").read_bytes() == (folder / "reference.jsonl").read_bytes()
 
 
 def test_write_refuses_duplicate_case_ids(tmp_path):

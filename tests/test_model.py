@@ -222,6 +222,66 @@ def test_from_columns_runs_the_same_rules():
     assert caught.value.violations == _violations(*events)
 
 
+@st.composite
+def _rows(draw):
+    """Rows (id, labels, t_min, t_max, determinate) with tied t_min values, ids
+    out of order, and at times one value that breaks a rule."""
+    ids = draw(st.lists(st.sampled_from(["a", "b", "e1", "e2", "e10", "e20", "z"]), max_size=7, unique=True))
+    rows = []
+    for event_id in ids:
+        low = draw(st.integers(0, 3))
+        labels = draw(st.frozensets(st.sampled_from("xyz"), min_size=1, max_size=2))
+        rows.append([event_id, labels, low, low + draw(st.integers(0, 2)), draw(st.booleans())])
+    if rows and draw(st.booleans()):
+        field, value = draw(st.sampled_from([
+            (0, ""), (0, 7), (0, rows[0][0]), (1, frozenset()), (1, frozenset({1})), (1, "x"),
+            (2, True), (2, np.int64(1)), (3, -1), (4, 1), (4, None),
+        ]))
+        draw(st.sampled_from(rows))[field] = value
+    return rows
+
+
+def _rows_obey_the_rules(rows):
+    ids = [row[0] for row in rows]
+    return (
+        all(type(event_id) is str and event_id for event_id in ids)
+        and len(set(ids)) == len(ids)
+        and all(type(labels) is frozenset and labels and {*map(type, labels)} == {str}
+                for _, labels, *_ in rows)
+        and all(type(low) is int and type(high) is int and low <= high for _, _, low, high, _ in rows)
+        and all(type(row[4]) is bool for row in rows)
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=_rows(), data=st.data())
+def test_from_columns_is_the_same_in_any_row_order(rows, data):
+    # in canonical order the constructor keeps the rows, in any other it sorts them
+    orders = [
+        sorted(rows, key=lambda row: (row[2], str(row[0]))),
+        rows,
+        rows[::-1],
+        data.draw(st.permutations(rows)),
+    ]
+    outcomes = []
+    for order in orders:
+        columns = [list(column) for column in zip(*order)] or [[]] * 5
+        try:
+            outcomes.append(UncertainTrace.from_columns("c", *columns))
+        except InvalidTraceError as err:
+            # listed in the columns' order, so compared as a multiset
+            outcomes.append(sorted(err.violations))
+    assert all(outcome == outcomes[0] for outcome in outcomes)
+    if _rows_obey_the_rules(rows):
+        trace = outcomes[0]
+        assert list(zip(trace.t_min.tolist(), trace.event_ids)) == sorted(
+            (row[2], row[0]) for row in rows
+        )
+        assert trace == UncertainTrace("c", (UncertainEvent(*row) for row in rows))
+    else:
+        assert isinstance(outcomes[0], list) and outcomes[0]
+
+
 def test_from_columns_refuses_columns_of_different_lengths():
     with pytest.raises(ValueError, match="columns of different lengths"):
         UncertainTrace.from_columns("c", ["e1", "e2"], [{"a"}], [0], [0], [True])
