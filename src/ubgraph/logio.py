@@ -81,7 +81,11 @@ def parse_timestamp(text: str) -> int:
             raise
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return round((dt - _EPOCH) / _MS)
+    # in integers: a float quotient cannot hold the sub-millisecond part
+    # of an instant far from 1970
+    ms, rest = divmod(dt - _EPOCH, _MS)
+    us = rest.microseconds
+    return ms + 1 if us > 500 or (us == 500 and ms % 2) else ms
 
 
 class _LabelsText(dict):
@@ -173,6 +177,7 @@ def _row_from_line(
 
     Equal label lists share one frozenset.
     """
+    _refuse_undecoded_bytes(number, line)
     try:
         record = json.loads(line)
     except json.JSONDecodeError as err:
@@ -230,7 +235,9 @@ def _row_from_line(
 # and canonical instants with a valid time of day, in ASCII digits (\d
 # would also take other Unicode digits).  Such a line decodes to its
 # match groups; read_log still checks its dates and its interval.
-_TEXT = r'[^"\\\x00-\x1f]*'
+# _TEXT also excludes U+DC80-U+DCFF, the stand-ins of bytes that are not
+# UTF-8, so a line holding one takes the json.loads route and is refused.
+_TEXT = r'[^"\\\x00-\x1f\udc80-\udcff]*'
 _INSTANT = r'"([0-9]{4}-[0-9]{2}-[0-9]{2}T(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9]\.[0-9]{3})Z"'
 _CANONICAL_LINE = re.compile(
     r'\{"case": "(' + _TEXT + r')", "event": "(' + _TEXT + r')"'
@@ -305,83 +312,72 @@ def _build_log(cases: dict[str, _Columns]) -> UncertainLog:
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
-def _undecodable_line(source: str | Path) -> LogFormatError:
-    """The error naming the first line of ``source`` that is not UTF-8 text.
+def _refuse_undecoded_bytes(number: int, text: str) -> None:
+    """Raise LogFormatError if ``text``, read from line ``number``, held a byte that is not UTF-8.
 
-    The file is read again with each byte that does not decode standing
-    in as a surrogate (valid UTF-8 decodes to none), and with the same
-    line ends as ``read_log``, so the line numbers agree.
+    Both readers decode with errors="surrogateescape", so such a byte
+    stands in as one of U+DC80-U+DCFF; valid UTF-8 decodes to none.
     """
-    with open(source, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        for number, line in enumerate(handle, start=1):
-            bad = _ESCAPED_BYTE.search(line)
-            if bad is not None:
-                return _not_utf8(number, bad.group())
-    # only a file changed since the strict read gets here
-    return LogFormatError("not UTF-8 text")
-
-
-def _not_utf8(number: int, escaped: str) -> LogFormatError:
-    """The error for line ``number``, holding the byte that decoded to ``escaped``."""
-    return LogFormatError(f"line {number}: not UTF-8 text (byte 0x{ord(escaped) - 0xDC00:02x})")
+    bad = _ESCAPED_BYTE.search(text)
+    if bad is not None:
+        raise LogFormatError(f"line {number}: not UTF-8 text (byte 0x{ord(bad.group()) - 0xDC00:02x})")
 
 
 def read_log(source: str | Path) -> UncertainLog:
     """Parse a JSON-lines file written by write_log (any line order).
 
-    Each non-blank line is read on its own, so an object spread over
-    several lines is refused.  A line in write_log's exact form (see
+    The file is decoded once, as UTF-8 past one leading byte order
+    mark, and each non-blank line is read on its own, in file order: an
+    object spread over several lines is refused, and the first bad line
+    is the one named.  A line in write_log's exact form (see
     ``_CANONICAL_LINE``) whose dates exist and whose t_min is not after
     its t_max is taken from its match groups; every other line is
     decoded by ``json.loads`` and checked key by key, which gives the
     same row for a valid line and the message, with its line number,
-    for a bad one.  Each line's fields go straight to its case's
-    columns, and no event object is made.
+    for a bad one (a byte that is not UTF-8 first).  Each line's fields
+    go straight to its case's columns, and no event object is made.
     """
     cases: dict[str, _Columns] = {}
     instants = _Instants()
     label_sets = _LabelSets()
     json_label_sets: dict[tuple, frozenset[str]] = {}
     match = _CANONICAL_LINE.fullmatch
-    try:
-        with open(source, "r", encoding="utf-8") as handle:
-            for number, line in enumerate(handle, start=1):
-                found = match(line)
-                if found is not None:
-                    case_id, event_id, labels_text, low, high, true = found.groups()
-                    low, high = instants[low], instants[high]
-                    if low is None or high is None or low > high:
-                        found = None
-                if found is not None:
-                    labels, determinate = label_sets[labels_text], true is not None
-                elif line.strip():
-                    case_id, event_id, labels, low, high, determinate = _row_from_line(
-                        line, number, json_label_sets
-                    )
-                else:
-                    continue
-                columns = cases.get(case_id)
-                if columns is None:
-                    columns = cases[case_id] = ([], [], [], [], [])
-                event_ids, activities, t_min, t_max, flags = columns
-                event_ids.append(event_id)
-                activities.append(labels)
-                t_min.append(low)
-                t_max.append(high)
-                flags.append(determinate)
-    except UnicodeDecodeError:
-        # found again from the start, so a read that decodes pays nothing
-        raise _undecodable_line(source) from None
+    with open(source, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
+        for number, line in enumerate(handle, start=1):
+            found = match(line)
+            if found is not None:
+                case_id, event_id, labels_text, low, high, true = found.groups()
+                low, high = instants[low], instants[high]
+                if low is None or high is None or low > high:
+                    found = None
+            if found is not None:
+                labels, determinate = label_sets[labels_text], true is not None
+            elif line.strip():
+                case_id, event_id, labels, low, high, determinate = _row_from_line(
+                    line, number, json_label_sets
+                )
+            else:
+                continue
+            columns = cases.get(case_id)
+            if columns is None:
+                columns = cases[case_id] = ([], [], [], [], [])
+            event_ids, activities, t_min, t_max, flags = columns
+            event_ids.append(event_id)
+            activities.append(labels)
+            t_min.append(low)
+            t_max.append(high)
+            flags.append(determinate)
     return _build_log(cases)
 
 
 def _csv_records(handle: TextIO) -> Iterator[tuple[int, list[str]]]:
     """Each CSV record of an open file, with the line it starts on.
 
-    The file is opened with errors="surrogateescape", so a byte that is
-    not UTF-8 stands in as a surrogate until its record is read; then
-    it, or text the csv module refuses (a field longer than its limit),
-    raises LogFormatError naming the record's first line.
+    The file is opened with errors="surrogateescape", as ``read_log``
+    opens its own, so a byte that is not UTF-8 stands in as a surrogate
+    until its record is read; then it, or text the csv module refuses (a
+    field longer than its limit), raises LogFormatError naming the
+    record's first line.
     """
     reader = csv.reader(handle)
     number = 1
@@ -392,9 +388,7 @@ def _csv_records(handle: TextIO) -> Iterator[tuple[int, list[str]]]:
             return
         except csv.Error as err:
             raise LogFormatError(f"line {number}: {err}") from err
-        bad = _ESCAPED_BYTE.search("".join(fields))
-        if bad is not None:
-            raise _not_utf8(number, bad.group())
+        _refuse_undecoded_bytes(number, "".join(fields))
         yield number, fields
         number = reader.line_num + 1
 
@@ -410,14 +404,16 @@ def import_certain_csv(
 
     Each row is one event with a single activity and an exact
     timestamp.  Without ``id_col``, ids are generated as
-    "<case>#<k>" with k counting the case's rows from 1.  A bad row,
-    a byte that is not UTF-8, or text the csv module refuses raises
-    LogFormatError as ``line N: ...``, N being the line of the file on
-    which the record starts (the header is line 1; a quoted field may
-    hold line breaks, so a record may span lines).
+    "<case>#<k>" with k counting the case's rows from 1.  The file is
+    decoded once, as UTF-8 with one leading byte order mark skipped (as
+    a spreadsheet's "CSV UTF-8" export begins).  A bad row, a byte that
+    is not UTF-8, or text the csv module refuses raises LogFormatError
+    as ``line N: ...``, N being the line of the file on which the record
+    starts (the header is line 1; a quoted field may hold line breaks,
+    so a record may span lines).
     """
     cases: dict[str, _Columns] = {}
-    with open(source, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
+    with open(source, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as handle:
         records = _csv_records(handle)
         _, header = next(records, (1, []))
         for name in [case_col, activity_col, time_col] + ([id_col] if id_col else []):

@@ -5,6 +5,7 @@ import json
 import re
 import tracemalloc
 from datetime import datetime, timedelta, timezone
+from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
 from unittest.mock import patch
@@ -41,14 +42,16 @@ from ubgraph.logio import LogFormatError, _InstantTexts, format_timestamp, parse
 from ubgraph.model import MAX_TIMESTAMP_MS, MIN_TIMESTAMP_MS
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_MS = timedelta(milliseconds=1)
+_US = timedelta(microseconds=1)
 _DAY_FIRST = re.compile(r"(\d{2})-(\d{2})-(\d{4})")
 
 
 def reference_parse_timestamp(text: str) -> int:
     """Definitional timestamp parser: DD-MM-YYYY first, then ISO-8601 with Z as +00:00.
 
-    A refusal's message quotes the text as given.
+    A refusal's message quotes the text as given.  The millisecond is
+    rounded from an exact fraction, ties to even, since a float quotient
+    cannot hold the sub-millisecond part of an instant far from 1970.
     """
     value = text.strip()
     match = _DAY_FIRST.fullmatch(value)
@@ -64,7 +67,7 @@ def reference_parse_timestamp(text: str) -> int:
             raise
         if dt.tzinfo is None:
             dt = dt.replace(tzinfo=timezone.utc)
-    return round((dt - _EPOCH) / _MS)
+    return round(Fraction((dt - _EPOCH) // _US, 1000))
 
 
 def _reference_event(line: str, number: int) -> tuple[str, UncertainEvent]:
@@ -397,6 +400,14 @@ def test_import_csv(tmp_path):
     assert {next(iter(e.activities)) for e in first.events} == {"register", "decide"}
 
 
+def test_import_csv_skips_a_leading_byte_order_mark(tmp_path):
+    # as a spreadsheet's "CSV UTF-8" export begins
+    path = tmp_path / "events.csv"
+    path.write_bytes("\ufeffcase,activity,timestamp\r\n945,register,05-12-2011\r\n".encode())
+    log = import_certain_csv(path, "case", "activity", "timestamp")
+    assert [(t.case_id, len(t)) for t in log.traces] == [("945", 1)]
+
+
 def test_import_csv_with_id_column(tmp_path):
     path = tmp_path / "events.csv"
     path.write_text("case,activity,timestamp,id\nc1,a,05-12-2011,ev9\n")
@@ -612,7 +623,7 @@ def test_timestamp_range_ends_round_trip(tmp_path):
 @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
 def test_read_names_the_first_line_that_is_not_utf8(tmp_path, ending):
     # far enough in that the decoder meets the byte in a later chunk; the
-    # line count follows the same line ends as the strict read
+    # line count follows the reader's line ends
     path = tmp_path / "bad.jsonl"
     write_log(_random_log(1), path)
     lines = path.read_bytes().splitlines() * 300
@@ -622,6 +633,35 @@ def test_read_names_the_first_line_that_is_not_utf8(tmp_path, ending):
     with pytest.raises(LogFormatError) as caught:
         read_log(path)
     assert str(caught.value) == "line 3000: not UTF-8 text (byte 0xc3)"
+
+
+@pytest.mark.parametrize("between", [1, 200])
+@pytest.mark.parametrize(
+    "first, second, message",
+    [
+        (b"not json", b'{"case": "c\xff"}', "line 1: not valid JSON (Expecting value)"),
+        (b'{"case": "c\xff"}', b"not json", "line 1: not UTF-8 text (byte 0xff)"),
+    ],
+    ids=["json-first", "byte-first"],
+)
+def test_read_names_the_first_bad_line_in_file_order(tmp_path, between, first, second, message):
+    # a byte that is not UTF-8 once took precedence over any earlier bad
+    # line that shared its decoder chunk
+    path = tmp_path / "bad.jsonl"
+    write_log(_random_log(1), path)
+    valid = (path.read_bytes().splitlines() * between)[:between]
+    path.write_bytes(b"\n".join([first, *valid, second]) + b"\n")
+    with pytest.raises(LogFormatError) as caught:
+        read_log(path)
+    assert str(caught.value) == message
+
+
+def test_read_skips_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "log.jsonl"
+    log = _random_log(2)
+    write_log(log, path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert read_log(path) == log
 
 
 def test_read_refuses_instants_outside_the_writer_range(tmp_path):
@@ -680,7 +720,8 @@ _TIMESTAMP_TEXT = st.one_of(
             "2011-12-05T00:00:00.000Z", "2011-12-05T00:00:00.0005Z", "2011-12-05T00:00:00.0015Z",
             "2011-12-05T01:00:00+01:00", "2011-12-05T00:00:00", "2011-12-05", "05-12-2011",
             "31-02-2011", "2011-12-05Z", "9999-12-31T23:59:59.9995Z", "0001-01-01T00:30:00+01:00",
-            " 05-12-2011 ", "not a date", "",
+            " 05-12-2011 ", "not a date", "", "9999-12-31T23:59:58.000501Z",
+            "9000-06-01T12:00:00.002501Z", "0001-01-01T00:00:00.000501Z",
         ]
     ),
     st.text(alphabet="0123456789-:TZ+. ", max_size=26),
