@@ -26,7 +26,7 @@ from datetime import datetime, timedelta, timezone
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -282,14 +282,15 @@ class _LabelSets(dict):
 _Columns = tuple[list, list, list, list, list]
 
 
-def _build_log(cases: dict[str, _Columns]) -> UncertainLog:
+def _build_log(cases: dict[str, _Columns], built: Iterable[UncertainTrace] = ()) -> UncertainLog:
     """One trace per case, in case-id order; every violation in one LogFormatError.
 
-    A case's violations come as ``invalid trace '<case>': ...``, so the
-    message names the case.  Each case's columns are dropped as soon as
-    its trace is built.
+    ``built`` holds traces the caller built already, of cases not in
+    ``cases``.  A case's violations come as ``invalid trace '<case>':
+    ...``, so the message names the case.  Each case's columns are
+    dropped as soon as its trace is built.
     """
-    traces: list[UncertainTrace] = []
+    traces: list[UncertainTrace] = list(built)
     violations: list[str] = []
     for case_id in sorted(cases):
         event_ids, activities, t_min, t_max, determinate = cases.pop(case_id)
@@ -327,17 +328,30 @@ def read_log(source: str | Path) -> UncertainLog:
     """Parse a JSON-lines file written by write_log (any line order).
 
     The file is decoded once, as UTF-8 past one leading byte order
-    mark, and each non-blank line is read on its own, in file order: an
-    object spread over several lines is refused, and the first bad line
-    is the one named.  A line in write_log's exact form (see
+    mark, and each line is read on its own, in file order: an object
+    spread over several lines is refused, and the first bad line is
+    the one named.  A line of JSON whitespace alone (spaces, tabs, line
+    ends) is skipped.  A line in write_log's exact form (see
     ``_CANONICAL_LINE``) whose dates exist and whose t_min is not after
     its t_max is taken from its match groups; every other line is
     decoded by ``json.loads`` and checked key by key, which gives the
     same row for a valid line and the message, with its line number,
     for a bad one (a byte that is not UTF-8 first).  Each line's fields
     go straight to its case's columns, and no event object is made.
+
+    A case's trace is built as soon as the next case's first line is
+    read, so a file that keeps each case's lines together, as
+    write_log's files do, holds one case's rows at a time beside the
+    traces.  Once a case comes back after another case, its trace goes
+    back to columns and no further case is built early, so each case is
+    built at most twice.  A case whose early build fails keeps its
+    columns and is built again, with the rest, once the file is read:
+    the violations are those of ``_build_log``, in case-id order.
     """
     cases: dict[str, _Columns] = {}
+    built: dict[str, UncertainTrace] = {}
+    building = True
+    open_case = None
     instants = _Instants()
     label_sets = _LabelSets()
     json_label_sets: dict[tuple, frozenset[str]] = {}
@@ -352,22 +366,42 @@ def read_log(source: str | Path) -> UncertainLog:
                     found = None
             if found is not None:
                 labels, determinate = label_sets[labels_text], true is not None
-            elif line.strip():
+            elif line.strip(" \t\r\n"):
                 case_id, event_id, labels, low, high, determinate = _row_from_line(
                     line, number, json_label_sets
                 )
             else:
                 continue
-            columns = cases.get(case_id)
-            if columns is None:
-                columns = cases[case_id] = ([], [], [], [], [])
-            event_ids, activities, t_min, t_max, flags = columns
+            if case_id != open_case:
+                if building and open_case is not None:
+                    try:
+                        built[open_case] = UncertainTrace.from_columns(open_case, *cases[open_case])
+                    except InvalidTraceError:
+                        pass  # built again, with the rest, for its message
+                    else:
+                        del cases[open_case]
+                open_case = case_id
+                trace = built.pop(case_id, None)
+                if trace is not None:
+                    cases[case_id] = (
+                        list(trace.event_ids),
+                        list(trace.activities),
+                        trace.t_min.tolist(),
+                        trace.t_max.tolist(),
+                        list(trace.determinate),
+                    )
+                columns = cases.get(case_id)
+                if columns is None:
+                    columns = cases[case_id] = ([], [], [], [], [])
+                else:
+                    building = False  # the case comes back
+                event_ids, activities, t_min, t_max, flags = columns
             event_ids.append(event_id)
             activities.append(labels)
             t_min.append(low)
             t_max.append(high)
             flags.append(determinate)
-    return _build_log(cases)
+    return _build_log(cases, built.values())
 
 
 def _csv_records(handle: TextIO) -> Iterator[tuple[int, list[str]]]:
@@ -447,8 +481,29 @@ def import_certain_csv(
     return _build_log(cases)
 
 
-def _dot_quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+def _dot_escape(text: str) -> str:
+    """The text as it goes between the double quotes of a DOT id."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
+class _DotLabels(dict):
+    """The ``[label="..."`` text of each activity set's vertex, made once per set.
+
+    Graphs repeat label sets, so the text is kept across calls, about
+    _DOT_LABELS_KEPT sets at a time.  ``export_dot`` takes one graph per
+    call, so the one instance lives in the module; each text depends on
+    its set alone, so a call can see another only in its speed.
+    """
+
+    def __missing__(self, labels: frozenset[str]) -> str:
+        if len(self) >= _DOT_LABELS_KEPT:
+            self.clear()
+        text = self[labels] = '[label="' + _dot_escape(", ".join(sorted(labels))) + '"'
+        return text
+
+
+_DOT_LABELS_KEPT = 4096
+_DOT_LABEL_TEXTS = _DotLabels()
 
 
 def export_dot(graph: BehaviorGraph, destination: str | Path) -> int:
@@ -457,27 +512,33 @@ def export_dot(graph: BehaviorGraph, destination: str | Path) -> int:
     Vertex labels join the activity set with commas; events that may
     not have happened are drawn dashed.  Vertices come in event-id
     order and edges in (id, id) order, so equal graphs give identical
-    bytes.  Each id is quoted once; the order comes from the ids' ranks
-    and the edge arrays, and the labels and flags from the trace's
-    columns.
+    bytes.  The ids are escaped only when one of them holds a ``"`` or
+    a ``\\``, and a vertex's label text is looked up by its activity set;
+    the edge order comes from one argsort of the ends' ranks, and the
+    flags from the trace's columns.
     """
     trace = graph.trace
     ids, activities, determinate = trace.event_ids, trace.activities, trace.determinate
-    quoted = list(map(_dot_quote, ids))
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    lines = ["digraph behavior_graph {"]
-    for i in order:
-        label = _dot_quote(", ".join(sorted(activities[i])))
-        style = "" if determinate[i] else ", style=dashed"
-        lines.append(f"  {quoted[i]} [label={label}{style}];")
-    rank = np.argsort(order)
-    src, dst = graph.src, graph.dst
-    by_ids = np.lexsort((rank[dst], rank[src]))
-    lines.extend(
-        f"  {quoted[v]} -> {quoted[w]};"
-        for v, w in zip(src[by_ids].tolist(), dst[by_ids].tolist())
+    count = len(ids)
+    order = sorted(range(count), key=ids.__getitem__)
+    joined = "".join(ids)
+    if '"' in joined or "\\" in joined:
+        ids = list(map(_dot_escape, ids))
+    labels = _DOT_LABEL_TEXTS
+    vertices = "".join(
+        [
+            f'  "{ids[i]}" {labels[activities[i]]}{"];" if determinate[i] else ", style=dashed];"}\n'
+            for i in order
+        ]
     )
-    lines.append("}")
-    data = ("\n".join(lines) + "\n").encode("utf-8")
-    Path(destination).write_bytes(data)
+    rank = np.empty(count, dtype=np.intp)
+    rank[order] = np.arange(count)
+    src, dst = graph.src, graph.dst
+    by_ids = (rank[src] * count + rank[dst]).argsort()
+    edges = "".join(
+        [f'  "{ids[v]}" -> "{ids[w]}";\n' for v, w in zip(src[by_ids].tolist(), dst[by_ids].tolist())]
+    )
+    data = f"digraph behavior_graph {{\n{vertices}{edges}}}\n".encode("utf-8")
+    with open(destination, "wb") as handle:
+        handle.write(data)
     return len(data)

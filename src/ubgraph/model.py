@@ -21,7 +21,7 @@ is represented by a degenerate interval (t_min == t_max).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from operator import attrgetter, gt, lt
 from collections.abc import Collection, Iterable, Iterator, Sequence
 
@@ -363,8 +363,22 @@ def validate_log(log: UncertainLog) -> list[str]:
     Case ids must be unique and no event id may appear in more than one
     trace; a shared id is reported with the first case that holds it
     and the case that repeats it.  Each trace was already checked when
-    it was built.
+    it was built, so its ids are unique within it.
+
+    The ids are compared by their ``hash`` first, in one sorted int64
+    array of 8 bytes per id, where a set of the ids would take several
+    times as much.  Only when two hashes are equal, or a case id
+    repeats, are the traces walked, to name each violation in trace
+    order.
     """
+    hashes = np.fromiter(
+        map(hash, chain.from_iterable(map(attrgetter("event_ids"), log.traces))), dtype=np.int64
+    )
+    hashes.sort()
+    if not np.any(hashes[1:] == hashes[:-1]):
+        case_ids = [trace.case_id for trace in log.traces]
+        if len(set(case_ids)) == len(case_ids):
+            return []
     violations: list[str] = []
     seen_cases: set[str] = set()
     seen_events: set[str] = set()

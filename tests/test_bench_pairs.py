@@ -19,9 +19,9 @@ DECLARED = [
 ]
 
 
-def _stdout(events_per_s: float, setup_s: float, sha: str = "abc") -> str:
+def _stdout(events_per_s: float, setup_s: float, sha: str = "abc", passes: int = 7) -> str:
     run = {"run": {"workload": "w", "seed": 1, "output_sha256": sha, "backend": "numpy",
-                   "python": "3.11.7", "numpy": "2.4.6", "cpu_count": 2}}
+                   "python": "3.11.7", "numpy": "2.4.6", "cpu_count": 2, "timed_passes": passes}}
     metrics = {"correct": True, "attempted": 10, "failed": 0, "metrics": {
         "events_per_s": {"value": events_per_s, "unit": "events/s"},
         "setup_s": {"value": setup_s, "unit": "s"},
@@ -29,8 +29,8 @@ def _stdout(events_per_s: float, setup_s: float, sha: str = "abc") -> str:
     return "\n".join([json.dumps(run), json.dumps(metrics)]) + "\n"
 
 
-def _side(events_per_s, setup_s, sha="abc"):
-    record, metrics = bench_pairs.parse_run(_stdout(events_per_s, setup_s, sha))
+def _side(events_per_s, setup_s, sha="abc", passes=7):
+    record, metrics = bench_pairs.parse_run(_stdout(events_per_s, setup_s, sha, passes))
     return {"record": record, "metrics": metrics}
 
 
@@ -47,10 +47,11 @@ def test_summarise_counts_wins_ties_and_spreads():
         {"seed": 1, "parent": _side(100, 4.0), "change": _side(120, 2.0)},
         {"seed": 2, "parent": _side(110, 3.0), "change": _side(110, 3.5)},
         {"seed": 3, "parent": _side(90, 5.0), "change": _side(80, 1.0)},
-        {"seed": 4, "parent": _side(130, 4.5), "change": _side(140, 2.5)},
+        {"seed": 4, "parent": _side(130, 4.5), "change": _side(140, 2.5, passes=9)},
     ]
     entry = bench_pairs.summarise(pairs, DECLARED)
     assert entry["seeds"] == [1, 2, 3, 4]
+    assert entry["timed_passes"] == {"parent": [7, 7, 7, 7], "change": [7, 7, 7, 9]}
     assert entry["pairs"] == 4 and entry["failed_runs"] == 0
     assert entry["output_sha256_equal_per_seed"] is True
     rate = entry["metrics"]["events_per_s"]
@@ -72,6 +73,7 @@ def test_summarise_leaves_failed_runs_out_of_the_pairs():
     ]
     entry = bench_pairs.summarise(pairs, DECLARED)
     assert entry["failed_runs"] == 1
+    assert entry["timed_passes"] == {"parent": [7, 7], "change": [7]}
     assert entry["output_sha256_equal_per_seed"] is False
     rate = entry["metrics"]["events_per_s"]
     assert (rate["change_wins"], rate["ties"]) == (0, 0)

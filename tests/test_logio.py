@@ -125,7 +125,8 @@ def reference_read_log(path) -> UncertainLog:
     cases: dict[str, list[UncertainEvent]] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for number, line in enumerate(handle, start=1):
-            if not line.strip():
+            # only JSON's whitespace makes a blank line
+            if not line.strip(" \t\r\n"):
                 continue
             case_id, event = _reference_event(line, number)
             cases.setdefault(case_id, []).append(event)
@@ -384,6 +385,113 @@ def test_read_reports_the_violations_of_one_case_in_line_order(tmp_path):
     assert str(caught.value) == "invalid trace 'c': empty event id; duplicate event id 'b'"
 
 
+def test_read_reports_every_violation_in_one_error_when_cases_interleave(tmp_path):
+    # the lines of the test above, with every case but c3 split in two, so
+    # that cases built early come back to be built again
+    path = tmp_path / "bad.jsonl"
+    lines = [
+        {
+            "case": case_id,
+            "event": event_id,
+            "activities": ["a"],
+            "t_min": "2011-12-05T00:00:00Z",
+            "t_max": "2011-12-05T00:00:00Z",
+        }
+        for case_id, event_id in [
+            ("c1", "x"), ("c2", "y"), ("c3", "z"), ("c1", "x"), ("c2", "y"), ("c4", "z")
+        ]
+    ]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    with pytest.raises(LogFormatError) as caught:
+        read_log(path)
+    assert str(caught.value) == (
+        "invalid trace 'c1': duplicate event id 'x'; invalid trace 'c2': duplicate event id 'y'; "
+        "event id 'z' appears in more than one trace: 'c3' and 'c4'"
+    )
+
+
+def _case_blocks(path: Path) -> list[list[bytes]]:
+    """The lines of a file write_log wrote, one list per case, in file order."""
+    blocks: dict[str, list[bytes]] = {}
+    for line in path.read_bytes().splitlines(keepends=True):
+        blocks.setdefault(json.loads(line)["case"], []).append(line)
+    return list(blocks.values())
+
+
+def _reordered(blocks: list[list[bytes]], order: str) -> list[bytes]:
+    if order == "grouped":
+        return [line for block in blocks for line in block]
+    if order == "reversed":
+        return [line for block in blocks for line in block][::-1]
+    if order == "round_robin":
+        longest = max(map(len, blocks), default=0)
+        return [block[k] for k in range(longest) for block in blocks if k < len(block)]
+    # "split": the first case's first half leads the file, its other half ends it
+    first, rest = blocks[0], blocks[1:]
+    half = len(first) // 2
+    return first[:half] + [line for block in rest for line in block] + first[half:]
+
+
+def test_read_log_builds_each_case_at_most_twice(tmp_path):
+    log = _random_log(5)
+    path = tmp_path / "log.jsonl"
+    write_log(log, path)
+    blocks = _case_blocks(path)
+    path.write_bytes(b"".join(_reordered(blocks, "round_robin")))
+    built = []
+    from_columns = UncertainTrace.from_columns
+
+    def counting_from_columns(case_id, *columns):
+        built.append(case_id)
+        return from_columns(case_id, *columns)
+
+    with patch.object(UncertainTrace, "from_columns", counting_from_columns):
+        assert read_log(path) == log
+    # once the first case comes back, no case is built early, so each is
+    # built at most once early and once at the end
+    assert len(built) <= 2 * len(blocks)
+    assert sorted(set(built)) == [trace.case_id for trace in log.traces]
+
+
+def test_read_log_peaks_near_the_size_of_the_log(tmp_path):
+    # all of a case's rows are built into its trace once the next case
+    # starts, and the cross-trace id check holds no set of the ids
+    spec = GenerationSpec(n_traces=2000, trace_length=50, seed=1)
+    path = tmp_path / "log.jsonl"
+    write_log(inject_time_uncertainty(generate_certain_log(spec), 0.4, 1), path)
+    tracemalloc.start()
+    try:
+        log = read_log(path)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(log) == 2000
+    assert peak <= 1.25 * size
+
+
+@pytest.mark.parametrize(
+    "line", ["\x1c", "\x0b\x0c", "\x85", "\u2028", "\u3000"], ids=["x1c", "vt-ff", "nel", "u2028", "u3000"]
+)
+def test_read_refuses_a_line_of_whitespace_that_json_refuses(tmp_path, line):
+    # str.strip() takes these for whitespace; JSON does not
+    path = tmp_path / "bad.jsonl"
+    write_log(_random_log(1), path)
+    first = path.read_text().splitlines()[0]
+    path.write_text(first + "\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(LogFormatError) as caught:
+        read_log(path)
+    assert str(caught.value) == "line 2: not valid JSON (Expecting value)"
+
+
+def test_read_skips_lines_of_json_whitespace(tmp_path):
+    path = tmp_path / "log.jsonl"
+    log = _random_log(4)
+    write_log(log, path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join([" \t \n", lines[0], "\n", "\t\r\n", *lines[1:], "  "]))
+    assert read_log(path) == log
+
+
 def test_import_csv(tmp_path):
     path = tmp_path / "events.csv"
     path.write_text(
@@ -601,6 +709,33 @@ def test_export_dot_matches_reference_writer(tmp_path_factory, trace):
         expected_size = reference_export_dot(graph, folder / "reference.dot")
         assert (folder / "graph.dot").read_bytes() == (folder / "reference.dot").read_bytes()
         assert size == expected_size
+
+
+@settings(max_examples=150, deadline=None)
+@given(trace=_dot_traces())
+def test_export_dot_with_a_small_label_cache_matches_reference_writer(tmp_path_factory, trace):
+    folder = tmp_path_factory.mktemp("dot")
+    graph = build_sweep(trace)
+    with patch.object(logio, "_DOT_LABELS_KEPT", 2):
+        size = export_dot(graph, folder / "graph.dot")
+    assert size == reference_export_dot(graph, folder / "reference.dot")
+    assert (folder / "graph.dot").read_bytes() == (folder / "reference.dot").read_bytes()
+
+
+def test_export_dot_escapes_ids_when_one_needs_it(tmp_path):
+    # one id holds a quote and another a backslash; 'a"' comes before 'a#'
+    # as written, but after it once escaped, so the order is the ids'
+    ids = ['a"', "a#", "b\\c", "plain"]
+    trace = UncertainTrace.from_columns(
+        "c", ids, [{"x"}, {'y"'}, {"x"}, {"z\\"}], [0, 1, 2, 3], [0, 1, 2, 3], [True, False, True, True]
+    )
+    graph = build_sweep(trace)
+    size = export_dot(graph, tmp_path / "graph.dot")
+    assert size == reference_export_dot(graph, tmp_path / "reference.dot")
+    text = (tmp_path / "graph.dot").read_text()
+    assert text == (tmp_path / "reference.dot").read_text()
+    assert text.index('"a\\""') < text.index('"a#"')
+    assert '  "b\\\\c" [label="x"];' in text
 
 
 def test_timestamp_range_ends_round_trip(tmp_path):
@@ -1002,6 +1137,17 @@ def test_write_log_matches_reference_writer(tmp_path_factory, log):
     assert (folder / "log.jsonl").read_bytes() == (folder / "reference.jsonl").read_bytes()
     assert size == expected_size
     assert read_log(folder / "log.jsonl") == UncertainLog(tuple(t for t in log.traces if len(t)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(log=_valid_logs(), order=st.sampled_from(["grouped", "reversed", "round_robin", "split"]))
+def test_read_log_reads_reordered_cases_back(tmp_path_factory, log, order):
+    folder = tmp_path_factory.mktemp("reordered")
+    write_log(log, folder / "log.jsonl")
+    blocks = _case_blocks(folder / "log.jsonl")
+    (folder / "reordered.jsonl").write_bytes(b"".join(_reordered(blocks, order)) if blocks else b"")
+    expected = UncertainLog(tuple(t for t in log.traces if len(t)))
+    assert read_log(folder / "reordered.jsonl") == expected
 
 
 @settings(max_examples=200, deadline=None)

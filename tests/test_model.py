@@ -15,6 +15,7 @@ from ubgraph import (
     validate_log,
     validate_trace,
 )
+from ubgraph import model
 from ubgraph.model import MAX_TIMESTAMP_MS, MIN_TIMESTAMP_MS, InvalidTraceError
 
 
@@ -313,6 +314,52 @@ def test_validate_log_cross_trace_duplicates():
     )
     violations = validate_log(log)
     assert any("more than one trace" in v for v in violations)
+
+
+def _columns_trace(case_id, *event_ids):
+    return UncertainTrace.from_columns(
+        case_id, event_ids, [{"a"}] * len(event_ids), range(len(event_ids)), range(len(event_ids)),
+        [True] * len(event_ids),
+    )
+
+
+@pytest.fixture(params=["hash", "equal_hashes"])
+def id_hash(request, monkeypatch):
+    # with every id hashing alike, the exact walk runs on every log
+    if request.param == "equal_hashes":
+        monkeypatch.setattr(model, "hash", lambda text: 0, raising=False)
+    return request.param
+
+
+def test_validate_log_accepts_a_valid_log_whatever_the_id_hashes(id_hash):
+    log = UncertainLog(tuple(_columns_trace(f"c{k}", f"e{k}a", f"e{k}b") for k in range(5)))
+    assert validate_log(log) == []
+    assert validate_log(UncertainLog()) == []
+
+
+def test_validate_log_names_shared_ids_with_their_first_case(id_hash):
+    log = UncertainLog(
+        (
+            _columns_trace("a", "x", "y"),
+            _columns_trace("b", "x", "z"),
+            _columns_trace("c", "z", "x", "w"),
+        )
+    )
+    assert validate_log(log) == [
+        "event id 'x' appears in more than one trace: 'a' and 'b'",
+        "event id 'z' appears in more than one trace: 'b' and 'c'",
+        "event id 'x' appears in more than one trace: 'a' and 'c'",
+    ]
+
+
+def test_validate_log_names_duplicate_case_ids(id_hash):
+    log = UncertainLog(
+        (_columns_trace("c", "e1"), _columns_trace("c", "e2"), _columns_trace("d", "e1"))
+    )
+    assert validate_log(log) == [
+        "duplicate case id 'c'",
+        "event id 'e1' appears in more than one trace: 'c' and 'd'",
+    ]
 
 
 def test_precedes_requires_strict_gap():

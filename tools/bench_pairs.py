@@ -7,7 +7,8 @@ Pair k runs ``perfbench/run.py --workload W --seed <k-th seed> --seconds S
 --trace 0`` once in the parent checkout and once in this working tree,
 the parent first when k is even and the change first when k is odd.
 Each run's own end-to-end metrics are kept.  The workload's entry in
-``--out`` is then (re)written with, per metric, each side's median and
+``--out`` is then (re)written with each run's timed pass count (a run's
+``peak_rss_mb`` grows with it) and, per metric, each side's median and
 quartiles, the change's wins and ties over the pairs, and every run;
 other workloads already in the file are kept.  Standard library only.
 """
@@ -68,6 +69,10 @@ def summarise(pairs: list[dict], declared: list[dict]) -> dict:
             for pair in complete
         ),
         "order": "alternating: parent first in pairs 0, 2, 4, ...; change first in 1, 3, 5, ...",
+        "timed_passes": {
+            side: [pair[side]["record"]["timed_passes"] for pair in pairs if pair[side]]
+            for side in SIDES
+        },
         "metrics": {},
     }
     for metric in declared:
@@ -131,7 +136,8 @@ def main(argv=None) -> int:
         for side in SIDES if k % 2 == 0 else SIDES[::-1]:
             pair[side] = _run(directories[side], args.workload, seed, args.seconds)
             values = pair[side]["metrics"] if pair[side] else "failed"
-            print(f"pair {k} seed {seed} {side}: {values}", file=sys.stderr)
+            passes = pair[side]["record"]["timed_passes"] if pair[side] else 0
+            print(f"pair {k} seed {seed} {side}: {passes} passes, {values}", file=sys.stderr)
         pairs.append(pair)
 
     result = json.loads(args.out.read_text()) if args.out.exists() else {}
