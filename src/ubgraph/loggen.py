@@ -8,7 +8,10 @@ keyed by (seed, stage, trace index), so results are reproducible and
 independent of evaluation order.  ``generate_log`` runs every stage on
 a trace's columns and builds the trace once; ``generate_certain_log``
 and the ``inject_*`` functions run one stage each, through the same
-per-trace function, and give the same traces.
+per-trace function, and give the same traces.  The singleton label set
+of each drawn index, and the alphabet ranks of each label set the
+activity stage extends, are made once per call in ``model._Memo``
+tables that keep every key, so equal label sets share one frozenset.
 
 An injection picks positions in the trace's own event order, by t_min
 and then event id.  Generated traces never tie on t_min, so the
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import UncertainLog, UncertainTrace, canonical_columns
+from .model import UncertainLog, UncertainTrace, _Memo, canonical_columns
 
 # the spacing of a generated trace's events, in ms
 STRIDE_MS = 1000
@@ -61,14 +64,6 @@ def activity_label(index: int) -> str:
     if index < 26:
         return chr(ord("a") + index)
     return f"act{index}"
-
-
-class _Singletons(dict):
-    """The label set {activity_label(index)} of each index looked up, made once."""
-
-    def __missing__(self, index: int) -> frozenset[str]:
-        labels = self[index] = frozenset({activity_label(index)})
-        return labels
 
 
 def _rng(seed: int, stage: int, trace_index: int) -> np.random.Generator:
@@ -132,7 +127,8 @@ def generate_log(
     # a stage that picks no event draws nothing and edits nothing
     stages = [(tag, _checked(p), make_edit()) for tag, p, make_edit in kinds if p]
     times = [(k + 1) * STRIDE_MS for k in range(spec.trace_length)]
-    singletons = _Singletons()
+    # the label set {activity_label(index)} of each index drawn
+    singletons = _Memo(lambda index: frozenset({activity_label(index)}))
     traces = []
     numbered = sorted((f"c{number}", number) for number in range(spec.n_traces))
     for index, (case_id, number) in enumerate(numbered):
@@ -201,16 +197,14 @@ def _label_adder(alphabet_size: int) -> Callable:
     """The activity stage's edit: one new label per chosen event (see inject_activity_uncertainty)."""
     alphabet = [activity_label(j) for j in range(alphabet_size)]
     rank = {label: j for j, label in enumerate(alphabet)}
-    # the ascending alphabet ranks of each label set's labels, found once per set
-    held_ranks: dict[frozenset[str], list[int]] = {}
+    # the ascending alphabet ranks of each label set's labels
+    held_ranks = _Memo(lambda labels: sorted(rank[l] for l in labels if l in rank))
 
     def add_label(rng, chosen, activities, t_min, t_max, determinate) -> None:
         # positions in ascending order: the draws follow event order
         for i in sorted(chosen):
             labels = activities[i]
-            held = held_ranks.get(labels)
-            if held is None:
-                held = held_ranks[labels] = sorted(rank[l] for l in labels if l in rank)
+            held = held_ranks[labels]
             if len(held) < alphabet_size:
                 # draw the k-th alphabet label the event lacks, with the
                 # value and generator state of choice(lacking, size=1,

@@ -15,6 +15,14 @@ Three formats:
 * DOT export of a behavior graph, byte-deterministic, with dashed
   borders marking events that may not have happened, formatted from
   the graph's index arrays and its trace's columns.
+
+What is worked out once per distinct key (an instant text's ms, a label
+list's frozenset, a label set's JSON or DOT text) is kept in a
+``model._Memo`` table.  The reader's label sets and the writer's label
+texts, which the log holds anyway, keep every key for the call, so
+equal label lists share one frozenset; the reader's instants and DOT
+export's label texts, like the writer's instant texts, are cleared past
+``_MEMO_KEPT`` keys.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from typing import Iterable, Iterator, TextIO
 import numpy as np
 
 from .graph import BehaviorGraph
-from .model import InvalidTraceError, UncertainLog, UncertainTrace, validate_log
+from .model import _MEMO_KEPT, InvalidTraceError, UncertainLog, UncertainTrace, _Memo, validate_log
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MS = timedelta(milliseconds=1)
@@ -88,21 +96,13 @@ def parse_timestamp(text: str) -> int:
     return ms + 1 if us > 500 or (us == 500 and ms % 2) else ms
 
 
-class _LabelsText(dict):
-    """JSON text of each activity set's sorted label list, made once per set."""
-
-    def __missing__(self, labels: frozenset[str]) -> str:
-        text = self[labels] = "[" + ", ".join(map(encode_basestring_ascii, sorted(labels))) + "]"
-        return text
-
-
 class _InstantTexts(dict):
     """The text of each epoch-ms instant written, as format_timestamp gives it less the final Z.
 
     Logs repeat instants (generated ones place events on whole seconds),
     so the texts of a trace whose instants were all written before are
     looked up, not made.  Any other trace is formatted whole, by one
-    numpy call, and its texts are kept, about _INSTANT_TEXTS_KEPT at a
+    numpy call, and its texts are kept, about _MEMO_KEPT at a
     time.  Texts kept that served no trace before they were dropped
     stop the lookups, so a log whose instants are all distinct pays
     little more than that numpy call per trace.
@@ -120,7 +120,7 @@ class _InstantTexts(dict):
             try:
                 texts = list(map(self.__getitem__, instants))
             except KeyError:
-                if len(self) > _INSTANT_TEXTS_KEPT:
+                if len(self) > _MEMO_KEPT:
                     self.clear()
                     self.looking_up, self.served = self.served, False
             else:
@@ -131,9 +131,6 @@ class _InstantTexts(dict):
         if self.looking_up:
             self.update(zip(instants, texts))
         return texts
-
-
-_INSTANT_TEXTS_KEPT = 4096
 
 
 def write_log(log: UncertainLog, destination: str | Path) -> int:
@@ -149,7 +146,10 @@ def write_log(log: UncertainLog, destination: str | Path) -> int:
     violations = validate_log(log)
     if violations:
         raise ValueError(f"cannot write the log: {'; '.join(violations)}")
-    labels_text = _LabelsText()
+    # the JSON text of each activity set's sorted label list
+    labels_text = _Memo(
+        lambda labels: "[" + ", ".join(map(encode_basestring_ascii, sorted(labels))) + "]"
+    )
     instant_texts = _InstantTexts()
     written = 0
     # the text is ASCII, so its characters are its bytes
@@ -171,11 +171,12 @@ def write_log(log: UncertainLog, destination: str | Path) -> int:
 
 
 def _row_from_line(
-    line: str, number: int, label_sets: dict[tuple, frozenset[str]]
+    line: str, number: int, label_sets: _Memo
 ) -> tuple[str, str, frozenset[str], int, int, bool]:
     """One line's (case, event id, activities, t_min, t_max, determinate), after its checks.
 
-    Equal label lists share one frozenset.
+    ``label_sets`` makes the frozenset of each tuple of labels, so equal
+    label lists share one frozenset.
     """
     _refuse_undecoded_bytes(number, line)
     try:
@@ -223,11 +224,7 @@ def _row_from_line(
         raise LogFormatError(
             f"line {number}: event {event_id!r} has t_min after t_max"
         )
-    key = tuple(activities)
-    labels = label_sets.get(key)
-    if labels is None:
-        labels = label_sets[key] = frozenset(key)
-    return case_id, event_id, labels, t_min, t_max, determinate
+    return case_id, event_id, label_sets[tuple(activities)], t_min, t_max, determinate
 
 
 # A line exactly as write_log writes it: its key order and separators,
@@ -247,35 +244,12 @@ _CANONICAL_LINE = re.compile(
 )
 
 
-class _Instants(dict):
-    """Epoch milliseconds of each canonical instant text, or None if its date does not exist.
-
-    Worked out once per text: logs repeat instants (generated ones place
-    events on whole seconds), and the columns then share one int per
-    instant.  It keeps at most _INSTANTS_KEPT texts, so a log of
-    distinct instants does not hold them all.
-    """
-
-    def __missing__(self, text: str) -> int | None:
-        try:
-            instant = parse_timestamp(text + "Z")
-        except ValueError:
-            instant = None
-        if len(self) >= _INSTANTS_KEPT:
-            self.clear()
-        self[text] = instant
-        return instant
-
-
-_INSTANTS_KEPT = 4096
-
-
-class _LabelSets(dict):
-    """The label set of each canonical ``"a", "b"`` list text, made once per text."""
-
-    def __missing__(self, text: str) -> frozenset[str]:
-        labels = self[text] = frozenset(text[1:-1].split('", "'))
-        return labels
+def _instant(text: str) -> int | None:
+    """Epoch milliseconds of a canonical instant text, or None if its date does not exist."""
+    try:
+        return parse_timestamp(text + "Z")
+    except ValueError:
+        return None
 
 
 # one case as read: event ids, activity sets, t_min, t_max, determinate flags
@@ -352,9 +326,11 @@ def read_log(source: str | Path) -> UncertainLog:
     built: dict[str, UncertainTrace] = {}
     building = True
     open_case = None
-    instants = _Instants()
-    label_sets = _LabelSets()
-    json_label_sets: dict[tuple, frozenset[str]] = {}
+    # logs repeat instants (generated ones place events on whole seconds)
+    # and label lists, and the columns share one value per distinct text
+    instants = _Memo(_instant, _MEMO_KEPT)
+    label_sets = _Memo(lambda text: frozenset(text[1:-1].split('", "')))
+    json_label_sets = _Memo(frozenset)
     match = _CANONICAL_LINE.fullmatch
     with open(source, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
         for number, line in enumerate(handle, start=1):
@@ -444,7 +420,8 @@ def import_certain_csv(
     is not UTF-8, or text the csv module refuses raises LogFormatError
     as ``line N: ...``, N being the line of the file on which the record
     starts (the header is line 1; a quoted field may hold line breaks,
-    so a record may span lines).
+    so a record may span lines).  A header that lacks a named column,
+    or holds one more than once, is refused as ``line 1: ...``.
     """
     cases: dict[str, _Columns] = {}
     with open(source, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as handle:
@@ -453,6 +430,8 @@ def import_certain_csv(
         for name in [case_col, activity_col, time_col] + ([id_col] if id_col else []):
             if name not in header:
                 raise LogFormatError(f"line 1: missing column {name!r} (found {header})")
+            if header.count(name) > 1:
+                raise LogFormatError(f"line 1: column {name!r} appears {header.count(name)} times")
         for number, fields in records:
             if not fields:
                 continue  # a blank line
@@ -486,24 +465,14 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-class _DotLabels(dict):
-    """The ``[label="..."`` text of each activity set's vertex, made once per set.
-
-    Graphs repeat label sets, so the text is kept across calls, about
-    _DOT_LABELS_KEPT sets at a time.  ``export_dot`` takes one graph per
-    call, so the one instance lives in the module; each text depends on
-    its set alone, so a call can see another only in its speed.
-    """
-
-    def __missing__(self, labels: frozenset[str]) -> str:
-        if len(self) >= _DOT_LABELS_KEPT:
-            self.clear()
-        text = self[labels] = '[label="' + _dot_escape(", ".join(sorted(labels))) + '"'
-        return text
-
-
-_DOT_LABELS_KEPT = 4096
-_DOT_LABEL_TEXTS = _DotLabels()
+# The ``[label="..."`` text of each activity set's vertex.  Graphs repeat
+# label sets, so the texts are kept across calls, up to _MEMO_KEPT sets.
+# export_dot takes one graph per call, so the one table lives in the
+# module; each text depends on its set alone, so a call can see another
+# only in its speed.
+_DOT_LABEL_TEXTS = _Memo(
+    lambda labels: '[label="' + _dot_escape(", ".join(sorted(labels))) + '"', _MEMO_KEPT
+)
 
 
 def export_dot(graph: BehaviorGraph, destination: str | Path) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from operator import attrgetter, gt, lt
-from collections.abc import Collection, Iterable, Iterator, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -411,6 +411,33 @@ def precedes(v: UncertainEvent, w: UncertainEvent) -> bool:
     identical certain timestamps) leave the pair unordered.
     """
     return v.t_max < w.t_min
+
+
+class _Memo(dict):
+    """``make(key)`` for each key looked up, made once and kept.
+
+    The make-once table of the log reader, the writer, DOT export and
+    the generator.  With ``kept`` set, a new key that finds the table
+    holding that many keys clears it first, so it never holds more.  A
+    cleared key's value is made again as a new object, so a table whose
+    values the result keeps (label sets shared across a log) is left
+    uncapped: its values are held anyway, and stay shared.
+    """
+
+    def __init__(self, make: Callable, kept: int | None = None) -> None:
+        super().__init__()
+        self.make = make
+        self.kept = kept
+
+    def __missing__(self, key):
+        if self.kept is not None and len(self) >= self.kept:
+            self.clear()
+        value = self[key] = self.make(key)
+        return value
+
+
+# the bound of every capped _Memo
+_MEMO_KEPT = 4096
 
 
 # the class already accepts any iterable of events

@@ -78,3 +78,16 @@ def test_summarise_leaves_failed_runs_out_of_the_pairs():
     rate = entry["metrics"]["events_per_s"]
     assert (rate["change_wins"], rate["ties"]) == (0, 0)
     assert rate["parent_runs"] == [100, 100] and rate["change_runs"] == [90]
+
+
+def test_summarise_finds_no_equal_outputs_when_no_pair_completed():
+    pairs = [
+        {"seed": 1, "parent": None, "change": None},
+        {"seed": 2, "parent": _side(100, 4.0), "change": None},
+    ]
+    entry = bench_pairs.summarise(pairs, DECLARED)
+    assert entry["failed_runs"] == 3
+    assert entry["output_sha256_equal_per_seed"] is False
+    rate = entry["metrics"]["events_per_s"]
+    assert (rate["change_wins"], rate["ties"]) == (0, 0)
+    assert "change_over_parent" not in rate

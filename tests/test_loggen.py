@@ -20,7 +20,9 @@ from ubgraph import (
     validate_log,
 )
 from ubgraph.cli import run
+from ubgraph import loggen
 from ubgraph.loggen import _label_adder, activity_label
+from ubgraph.model import _Memo
 
 
 def _spec(**overrides):
@@ -234,6 +236,24 @@ def test_generate_log_equals_the_injections_one_by_one(spec, p_time, p_activity,
     log = inject_activity_uncertainty(log, p_activity, spec.seed, spec.alphabet_size)
     log = inject_indeterminacy(log, p_indeterminate, spec.seed)
     assert generate_log(spec, p_time, p_activity, p_indeterminate) == log
+
+
+def test_generate_log_with_its_tables_capped_at_one_gives_the_same_log(monkeypatch):
+    # the label tables are uncapped; capped at one key each, they are
+    # cleared on every new key and remake their values, to the same log
+    spec = GenerationSpec(20, 12, alphabet_size=40, seed=9)
+    expected = generate_log(spec, 0.3, 0.5, 0.2)
+    tables = []
+
+    class CappedAtOne(_Memo):
+        def __init__(self, make, kept=None):
+            super().__init__(make, 1)
+            tables.append(self)
+
+    monkeypatch.setattr(loggen, "_Memo", CappedAtOne)
+    assert generate_log(spec, 0.3, 0.5, 0.2) == expected
+    # the singletons and the held ranks, each left holding one key
+    assert [len(table) for table in tables] == [1, 1]
 
 
 def test_generate_log_rejects_bad_probabilities_before_any_work():

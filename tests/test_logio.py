@@ -39,7 +39,7 @@ from ubgraph import (
 )
 from ubgraph import logio
 from ubgraph.logio import LogFormatError, _InstantTexts, format_timestamp, parse_timestamp
-from ubgraph.model import MAX_TIMESTAMP_MS, MIN_TIMESTAMP_MS
+from ubgraph.model import _MEMO_KEPT, MAX_TIMESTAMP_MS, MIN_TIMESTAMP_MS, _Memo
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _US = timedelta(microseconds=1)
@@ -562,6 +562,24 @@ def test_import_csv_missing_column(tmp_path):
         import_certain_csv(path, "case", "activity", "timestamp")
 
 
+@pytest.mark.parametrize(
+    "header, id_col, message",
+    [
+        ("case,activity,time,case", None, "line 1: column 'case' appears 2 times"),
+        ("time,case,activity,time,time", None, "line 1: column 'time' appears 3 times"),
+        ("case,id,activity,time,id", "id", "line 1: column 'id' appears 2 times"),
+    ],
+)
+def test_import_csv_refuses_a_named_column_given_twice(tmp_path, header, id_col, message):
+    # before, the last of the two columns was read and the first lost
+    path = tmp_path / "events.csv"
+    width = header.count(",") + 1
+    path.write_text(f"{header}\n" + ",".join(["x"] * width) + "\n")
+    with pytest.raises(LogFormatError) as caught:
+        import_certain_csv(path, "case", "activity", "time", id_col=id_col)
+    assert str(caught.value) == message
+
+
 def test_import_csv_names_the_line_that_is_not_utf8(tmp_path):
     path = tmp_path / "events.csv"
     path.write_bytes(b"case,activity,timestamp\nc1,a,05-12-2011\nc1,b\xff,06-12-2011\n")
@@ -716,8 +734,16 @@ def test_export_dot_matches_reference_writer(tmp_path_factory, trace):
 def test_export_dot_with_a_small_label_cache_matches_reference_writer(tmp_path_factory, trace):
     folder = tmp_path_factory.mktemp("dot")
     graph = build_sweep(trace)
-    with patch.object(logio, "_DOT_LABELS_KEPT", 2):
+    # the table is made at import, so its own bound is patched; two stale
+    # sets fill it, so the trace's first set clears it
+    texts, stale = logio._DOT_LABEL_TEXTS, [frozenset({"\x00stale"}), frozenset({"\x01stale"})]
+    with patch.object(texts, "kept", 2):
+        texts.clear()
+        texts.update(dict.fromkeys(stale, ""))
         size = export_dot(graph, folder / "graph.dot")
+        assert len(texts) <= 2
+        if len(trace):
+            assert not set(stale) & set(texts)
     assert size == reference_export_dot(graph, folder / "reference.dot")
     assert (folder / "graph.dot").read_bytes() == (folder / "reference.dot").read_bytes()
 
@@ -1047,8 +1073,60 @@ def test_read_log_forgets_instants_past_its_cache(tmp_path, monkeypatch):
     log = _random_log(12)
     path = tmp_path / "log.jsonl"
     write_log(log, path)
-    monkeypatch.setattr(logio, "_INSTANTS_KEPT", 1)
+    tables = []
+
+    class Recorded(_Memo):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(logio, "_Memo", Recorded)
+    monkeypatch.setattr(logio, "_MEMO_KEPT", 1)
     assert read_log(path) == log
+    # the one capped table is the instants'; it read many and holds one
+    (instants,) = [table for table in tables if table.kept is not None]
+    assert len({t for trace in log.traces for t in trace.t_min.tolist()}) > 1
+    assert len(instants) == 1
+
+
+def _label_list_log(distinct: int, length: int = 40) -> UncertainLog:
+    """Events cycling through ``distinct`` two-label sets, twice over, in traces of ``length``."""
+    count = 2 * distinct
+    traces = []
+    for start in range(0, count, length):
+        rows = range(start, min(start + length, count))
+        traces.append(
+            UncertainTrace.from_columns(
+                f"c{start}",
+                [f"e{k}" for k in rows],
+                [{f"a{k % distinct}", f"b{k % distinct}"} for k in rows],
+                [1000 * k for k in rows],
+                [1000 * k for k in rows],
+                [True] * len(rows),
+            )
+        )
+    return UncertainLog(tuple(traces))
+
+
+def test_read_log_shares_one_label_set_per_list_past_the_memo_bound(tmp_path):
+    # more distinct label lists than a capped table keeps, cycled across
+    # traces: a table cleared at the bound would make a list's set again
+    distinct = _MEMO_KEPT + _MEMO_KEPT // 4
+    log = _label_list_log(distinct)
+    canonical, compact = tmp_path / "log.jsonl", tmp_path / "compact.jsonl"
+    write_log(log, canonical)
+    with open(canonical) as lines:
+        compact.write_text(
+            "".join(json.dumps(json.loads(line), separators=(",", ":")) + "\n" for line in lines)
+        )
+    for path in (canonical, compact):
+        read = read_log(path)
+        assert read == log
+        shared = {}
+        for trace in read.traces:
+            for labels in trace.activities:
+                assert shared.setdefault(labels, labels) is labels
+        assert len(shared) == distinct
 
 
 def test_graph_path_makes_no_event_objects(tmp_path, monkeypatch):
@@ -1156,7 +1234,7 @@ def test_column_timestamps_match_format_timestamp(traces, kept):
     # one writer's cache over several traces, kept small enough to be
     # cleared, so that texts are both looked up and made
     texts, largest = _InstantTexts(), 0
-    with patch.object(logio, "_INSTANT_TEXTS_KEPT", kept):
+    with patch.object(logio, "_MEMO_KEPT", kept):
         for pairs in traces:
             low, high = [pair[0] for pair in pairs], [pair[1] for pair in pairs]
             made = texts.of(np.array(low, dtype=np.int64), np.array(high, dtype=np.int64))
@@ -1167,7 +1245,7 @@ def test_column_timestamps_match_format_timestamp(traces, kept):
 
 def test_instant_texts_stop_looking_up_only_when_no_trace_was_served():
     distinct, repeated = _InstantTexts(), _InstantTexts()
-    with patch.object(logio, "_INSTANT_TEXTS_KEPT", 10):
+    with patch.object(logio, "_MEMO_KEPT", 10):
         for start in range(0, 400, 8):
             distinct.of(np.arange(start, start + 4), np.arange(start + 4, start + 8))
             repeated.of(np.arange(start % 16, start % 16 + 4), np.arange(4, 8))
@@ -1181,8 +1259,18 @@ def test_write_log_with_a_small_instant_cache_matches_reference_writer(
     tmp_path_factory, log, kept
 ):
     folder = tmp_path_factory.mktemp("written")
-    with patch.object(logio, "_INSTANT_TEXTS_KEPT", kept):
+    tables = []
+
+    class Recorded(_InstantTexts):
+        def __init__(self):
+            super().__init__()
+            tables.append(self)
+
+    with patch.object(logio, "_MEMO_KEPT", kept), patch.object(logio, "_InstantTexts", Recorded):
         write_log(log, folder / "log.jsonl")
+    # the texts kept are cleared past the bound, bar one trace's
+    (texts,) = tables
+    assert len(texts) <= kept + 2 * max(map(len, log.traces), default=0)
     reference_write_log(log, folder / "reference.jsonl")
     assert (folder / "log.jsonl").read_bytes() == (folder / "reference.jsonl").read_bytes()
 

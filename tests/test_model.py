@@ -16,7 +16,7 @@ from ubgraph import (
     validate_trace,
 )
 from ubgraph import model
-from ubgraph.model import MAX_TIMESTAMP_MS, MIN_TIMESTAMP_MS, InvalidTraceError
+from ubgraph.model import MAX_TIMESTAMP_MS, MIN_TIMESTAMP_MS, InvalidTraceError, _Memo
 
 
 def _event(event_id, t_min, t_max, labels=("a",), determinate=True):
@@ -397,3 +397,30 @@ def test_precedes_is_a_strict_partial_order(x, y, z):
         assert not precedes(y, x)
     if precedes(x, y) and precedes(y, z):
         assert precedes(x, z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=st.lists(st.integers(0, 12), max_size=60), kept=st.none() | st.integers(1, 5))
+def test_memo_makes_a_value_once_per_key_it_holds(keys, kept):
+    made = []
+
+    def make(key):
+        made.append(key)
+        return [key]
+
+    table = _Memo(make, kept)
+    for key in keys:
+        held, calls = table.get(key), len(made)
+        value = table[key]
+        assert value == [key]
+        # make runs once for a key the table does not hold; a key it holds
+        # gives the same object
+        if held is None:
+            assert made[calls:] == [key]
+        else:
+            assert value is held and len(made) == calls
+        if kept is not None:
+            assert len(table) <= kept
+    if kept is None:
+        assert made == list(dict.fromkeys(keys))
+        assert set(table) == set(keys)

@@ -64,7 +64,8 @@ def summarise(pairs: list[dict], declared: list[dict]) -> dict:
         "seeds": [pair["seed"] for pair in pairs],
         "pairs": len(pairs),
         "failed_runs": sum(pair[side] is None for pair in pairs for side in SIDES),
-        "output_sha256_equal_per_seed": all(
+        # no complete pair compared no outputs
+        "output_sha256_equal_per_seed": bool(complete) and all(
             pair["parent"]["record"]["output_sha256"] == pair["change"]["record"]["output_sha256"]
             for pair in complete
         ),
