@@ -144,7 +144,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     else:
         for graph in graphs:
             print(
-                f"{graph.case_id}: {len(graph.vertices)} vertices, "
+                f"{graph.case_id}: {len(graph.trace)} vertices, "
                 f"{len(graph.edges)} edges"
             )
     return 0

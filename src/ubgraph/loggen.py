@@ -161,14 +161,7 @@ def _inject(log: UncertainLog, seed: int, stage: _Stage) -> UncertainLog:
     """``log`` with one stage run on copies of each trace's columns."""
     traces = []
     for index, trace in enumerate(log.traces):
-        columns = [
-            list(trace.event_ids),
-            list(trace.activities),
-            trace.t_min.tolist(),
-            trace.t_max.tolist(),
-            list(trace.determinate),
-        ]
-        traces.append(_staged_trace(trace.case_id, columns, seed, index, [stage]))
+        traces.append(_staged_trace(trace.case_id, trace._columns(), seed, index, [stage]))
     return UncertainLog(traces=tuple(traces))
 
 

@@ -31,8 +31,9 @@ import csv
 import json
 import re
 from datetime import datetime, timedelta, timezone
-from itertools import repeat
+from itertools import groupby, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -252,37 +253,6 @@ def _instant(text: str) -> int | None:
         return None
 
 
-# one case as read: event ids, activity sets, t_min, t_max, determinate flags
-_Columns = tuple[list, list, list, list, list]
-
-
-def _build_log(cases: dict[str, _Columns], built: Iterable[UncertainTrace] = ()) -> UncertainLog:
-    """One trace per case, in case-id order; every violation in one LogFormatError.
-
-    ``built`` holds traces the caller built already, of cases not in
-    ``cases``.  A case's violations come as ``invalid trace '<case>':
-    ...``, so the message names the case.  Each case's columns are
-    dropped as soon as its trace is built.
-    """
-    traces: list[UncertainTrace] = list(built)
-    violations: list[str] = []
-    for case_id in sorted(cases):
-        event_ids, activities, t_min, t_max, determinate = cases.pop(case_id)
-        try:
-            traces.append(
-                UncertainTrace.from_columns(
-                    case_id, event_ids, activities, t_min, t_max, determinate
-                )
-            )
-        except InvalidTraceError as err:
-            violations.append(str(err))
-    log = UncertainLog(traces=tuple(traces))
-    violations.extend(validate_log(log))
-    if violations:
-        raise LogFormatError("; ".join(violations))
-    return log
-
-
 # the stand-ins that errors="surrogateescape" decodes bytes 0x80-0xff to
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
@@ -298,6 +268,85 @@ def _refuse_undecoded_bytes(number: int, text: str) -> None:
         raise LogFormatError(f"line {number}: not UTF-8 text (byte 0x{ord(bad.group()) - 0xDC00:02x})")
 
 
+# one event as read: case, event id, activity set, t_min, t_max, determinate
+_Row = tuple[str, str, frozenset[str], int, int, bool]
+
+
+def _log_from_rows(rows: Iterable[_Row]) -> UncertainLog:
+    """The log of the rows, one trace per case; every violation in one LogFormatError.
+
+    Rows of one case that come one after another form a run, and a
+    run's trace is built as soon as the next run starts, so rows that
+    keep each case together are held one case at a time beside the
+    traces.  Once a case comes back after another case, its trace goes
+    back to columns that the new run joins, and no further case is built
+    early, so each case is built at most twice.  A case whose early
+    build fails keeps its columns and is built again once the rows run
+    out, with every case not built yet, in case-id order.  The message
+    lists those builds' violations, each as ``invalid trace '<case>':
+    ...``, then ``validate_log``'s.  A refusal raised by ``rows`` itself
+    comes first, as it stops the rows.
+    """
+    built: dict[str, UncertainTrace] = {}
+    # the columns of the cases not built, or whose build failed
+    cases: dict[str, list[list]] = {}
+    building = True
+    for case_id, run in groupby(rows, itemgetter(0)):
+        trace = built.pop(case_id, None)
+        if trace is not None:
+            cases[case_id] = trace._columns()
+        columns = cases.get(case_id)
+        if columns is None:
+            columns = cases[case_id] = [[], [], [], [], []]
+        else:
+            building = False  # the case comes back
+        event_ids, activities, t_min, t_max, flags = columns
+        for _, event_id, labels, low, high, determinate in run:
+            event_ids.append(event_id)
+            activities.append(labels)
+            t_min.append(low)
+            t_max.append(high)
+            flags.append(determinate)
+        if building:
+            try:
+                built[case_id] = UncertainTrace.from_columns(case_id, *columns)
+            except InvalidTraceError:
+                continue  # built again at the end, for its message
+            del cases[case_id]
+    traces = list(built.values())
+    violations: list[str] = []
+    for case_id in sorted(cases):
+        try:
+            traces.append(UncertainTrace.from_columns(case_id, *cases.pop(case_id)))
+        except InvalidTraceError as err:
+            violations.append(str(err))
+    log = UncertainLog(traces=tuple(traces))
+    violations.extend(validate_log(log))
+    if violations:
+        raise LogFormatError("; ".join(violations))
+    return log
+
+
+def _jsonl_rows(handle: TextIO) -> Iterator[_Row]:
+    """The row of each line of an open JSON-lines file that is not blank (see read_log)."""
+    # logs repeat instants (generated ones place events on whole seconds)
+    # and label lists, and the rows share one value per distinct text
+    instants = _Memo(_instant, _MEMO_KEPT)
+    label_sets = _Memo(lambda text: frozenset(text[1:-1].split('", "')))
+    json_label_sets = _Memo(frozenset)
+    match = _CANONICAL_LINE.fullmatch
+    for number, line in enumerate(handle, start=1):
+        found = match(line)
+        if found is not None:
+            case_id, event_id, labels_text, low, high, true = found.groups()
+            low, high = instants[low], instants[high]
+            if low is not None and high is not None and low <= high:
+                yield case_id, event_id, label_sets[labels_text], low, high, true is not None
+                continue
+        if line.strip(" \t\r\n"):
+            yield _row_from_line(line, number, json_label_sets)
+
+
 def read_log(source: str | Path) -> UncertainLog:
     """Parse a JSON-lines file written by write_log (any line order).
 
@@ -310,74 +359,18 @@ def read_log(source: str | Path) -> UncertainLog:
     its t_max is taken from its match groups; every other line is
     decoded by ``json.loads`` and checked key by key, which gives the
     same row for a valid line and the message, with its line number,
-    for a bad one (a byte that is not UTF-8 first).  Each line's fields
-    go straight to its case's columns, and no event object is made.
+    for a bad one (a byte that is not UTF-8 first).  No event object is
+    made.
 
-    A case's trace is built as soon as the next case's first line is
-    read, so a file that keeps each case's lines together, as
-    write_log's files do, holds one case's rows at a time beside the
-    traces.  Once a case comes back after another case, its trace goes
-    back to columns and no further case is built early, so each case is
-    built at most twice.  A case whose early build fails keeps its
-    columns and is built again, with the rest, once the file is read:
-    the violations are those of ``_build_log``, in case-id order.
+    The rows become the log in ``_log_from_rows``, as the rows of
+    ``import_certain_csv`` do: a file that keeps each case's lines
+    together, as write_log's files do, holds one case's rows at a time
+    beside the traces, a file in any line order builds each case at
+    most twice, and the trace violations come in case-id order, then
+    the log-level ones.
     """
-    cases: dict[str, _Columns] = {}
-    built: dict[str, UncertainTrace] = {}
-    building = True
-    open_case = None
-    # logs repeat instants (generated ones place events on whole seconds)
-    # and label lists, and the columns share one value per distinct text
-    instants = _Memo(_instant, _MEMO_KEPT)
-    label_sets = _Memo(lambda text: frozenset(text[1:-1].split('", "')))
-    json_label_sets = _Memo(frozenset)
-    match = _CANONICAL_LINE.fullmatch
     with open(source, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
-        for number, line in enumerate(handle, start=1):
-            found = match(line)
-            if found is not None:
-                case_id, event_id, labels_text, low, high, true = found.groups()
-                low, high = instants[low], instants[high]
-                if low is None or high is None or low > high:
-                    found = None
-            if found is not None:
-                labels, determinate = label_sets[labels_text], true is not None
-            elif line.strip(" \t\r\n"):
-                case_id, event_id, labels, low, high, determinate = _row_from_line(
-                    line, number, json_label_sets
-                )
-            else:
-                continue
-            if case_id != open_case:
-                if building and open_case is not None:
-                    try:
-                        built[open_case] = UncertainTrace.from_columns(open_case, *cases[open_case])
-                    except InvalidTraceError:
-                        pass  # built again, with the rest, for its message
-                    else:
-                        del cases[open_case]
-                open_case = case_id
-                trace = built.pop(case_id, None)
-                if trace is not None:
-                    cases[case_id] = (
-                        list(trace.event_ids),
-                        list(trace.activities),
-                        trace.t_min.tolist(),
-                        trace.t_max.tolist(),
-                        list(trace.determinate),
-                    )
-                columns = cases.get(case_id)
-                if columns is None:
-                    columns = cases[case_id] = ([], [], [], [], [])
-                else:
-                    building = False  # the case comes back
-                event_ids, activities, t_min, t_max, flags = columns
-            event_ids.append(event_id)
-            activities.append(labels)
-            t_min.append(low)
-            t_max.append(high)
-            flags.append(determinate)
-    return _build_log(cases, built.values())
+        return _log_from_rows(_jsonl_rows(handle))
 
 
 def _csv_records(handle: TextIO) -> Iterator[tuple[int, list[str]]]:
@@ -421,17 +414,15 @@ def import_certain_csv(
     as ``line N: ...``, N being the line of the file on which the record
     starts (the header is line 1; a quoted field may hold line breaks,
     so a record may span lines).  A header that lacks a named column,
-    or holds one more than once, is refused as ``line 1: ...``.
+    or holds one more than once, is refused as ``line 1: ...``.  The
+    rows become the log in ``_log_from_rows``, as ``read_log``'s do, and
+    the events of one activity share one label set.
     """
-    cases: dict[str, _Columns] = {}
-    with open(source, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as handle:
-        records = _csv_records(handle)
-        _, header = next(records, (1, []))
-        for name in [case_col, activity_col, time_col] + ([id_col] if id_col else []):
-            if name not in header:
-                raise LogFormatError(f"line 1: missing column {name!r} (found {header})")
-            if header.count(name) > 1:
-                raise LogFormatError(f"line 1: column {name!r} appears {header.count(name)} times")
+
+    def rows(records: Iterator[tuple[int, list[str]]], header: list[str]) -> Iterator[_Row]:
+        # the rows read of each case, for its "<case>#<k>" ids
+        counts: dict[str, int] = {}
+        singletons = _Memo(lambda activity: frozenset((activity,)))
         for number, fields in records:
             if not fields:
                 continue  # a blank line
@@ -447,17 +438,21 @@ def import_certain_csv(
                 instant = parse_timestamp(row.get(time_col, ""))
             except ValueError as err:
                 raise LogFormatError(f"line {number}: bad timestamp ({err})") from err
-            columns = cases.setdefault(case_id, ([], [], [], [], []))
-            event_ids, activities, t_min, t_max, determinate = columns
-            event_id = row.get(id_col, "").strip() if id_col else f"{case_id}#{len(event_ids) + 1}"
+            count = counts[case_id] = counts.get(case_id, 0) + 1
+            event_id = row.get(id_col, "").strip() if id_col else f"{case_id}#{count}"
             if not event_id:
                 raise LogFormatError(f"line {number}: empty event id")
-            event_ids.append(event_id)
-            activities.append(frozenset({activity}))
-            t_min.append(instant)
-            t_max.append(instant)
-            determinate.append(True)
-    return _build_log(cases)
+            yield case_id, event_id, singletons[activity], instant, instant, True
+
+    with open(source, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as handle:
+        records = _csv_records(handle)
+        _, header = next(records, (1, []))
+        for name in [case_col, activity_col, time_col] + ([id_col] if id_col else []):
+            if name not in header:
+                raise LogFormatError(f"line 1: missing column {name!r} (found {header})")
+            if header.count(name) > 1:
+                raise LogFormatError(f"line 1: column {name!r} appears {header.count(name)} times")
+        return _log_from_rows(rows(records, header))
 
 
 def _dot_escape(text: str) -> str:

@@ -141,16 +141,17 @@ class UncertainTrace:
     @property
     def events(self) -> tuple[UncertainEvent, ...]:
         """The events in canonical order, made anew on each access."""
-        return tuple(
-            map(
-                UncertainEvent,
-                self.event_ids,
-                self.activities,
-                self.t_min.tolist(),
-                self.t_max.tolist(),
-                self.determinate,
-            )
-        )
+        return tuple(map(UncertainEvent, *self._columns()))
+
+    def _columns(self) -> list[list]:
+        """The columns as new lists, in the order ``_fill`` takes them after the case id."""
+        return [
+            list(self.event_ids),
+            list(self.activities),
+            self.t_min.tolist(),
+            self.t_max.tolist(),
+            list(self.determinate),
+        ]
 
     def _key(self) -> tuple:
         return (
@@ -174,17 +175,7 @@ class UncertainTrace:
         raise AttributeError(f"cannot assign to field {name!r}: UncertainTrace is immutable")
 
     def __reduce__(self):
-        return (
-            UncertainTrace.from_columns,
-            (
-                self.case_id,
-                self.event_ids,
-                self.activities,
-                self.t_min.tolist(),
-                self.t_max.tolist(),
-                self.determinate,
-            ),
-        )
+        return UncertainTrace.from_columns, (self.case_id, *self._columns())
 
     def __repr__(self) -> str:
         return f"UncertainTrace(case_id={self.case_id!r}, events={self.events!r})"
@@ -272,14 +263,7 @@ def validate_trace(trace: UncertainTrace) -> list[str]:
     ``None``, ``0``/``1`` and strings are refused, since the JSONL writer
     would write any truthy value as ``true``.
     """
-    return _violations(
-        trace.case_id,
-        trace.event_ids,
-        trace.activities,
-        trace.t_min.tolist(),
-        trace.t_max.tolist(),
-        trace.determinate,
-    )
+    return _violations(trace.case_id, *trace._columns())
 
 
 def _violations(

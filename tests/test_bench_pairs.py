@@ -91,3 +91,50 @@ def test_summarise_finds_no_equal_outputs_when_no_pair_completed():
     rate = entry["metrics"]["events_per_s"]
     assert (rate["change_wins"], rate["ties"]) == (0, 0)
     assert "change_over_parent" not in rate
+
+
+def _pairs(parent_rates, change_rates):
+    return [
+        {"seed": seed, "parent": _side(before, 4.0), "change": _side(after, 4.0)}
+        for seed, (before, after) in enumerate(zip(parent_rates, change_rates))
+    ]
+
+
+@pytest.mark.parametrize(
+    "parent_rates, change_rates, expected",
+    [
+        # nine wins of ten, and medians 10 apart against a parent IQR of 4.5
+        (range(100, 110), [*range(110, 119), 100], "gain"),
+        # nine wins of ten, but the medians differ by less than the parent's IQR
+        (range(100, 110), [*range(101, 110), 99], "within_bound"),
+        # eight wins of ten, however far apart the medians
+        (range(100, 110), [*range(200, 208), 100, 100], "within_bound"),
+        # the change's median is 30% below the parent's
+        ([100] * 10, [70] * 10, "worse"),
+        # the parent's IQR is 50% of its median, wider than the 25% bound
+        ([50, 50, 50, 100, 100, 100, 100, 150, 150, 150], [100] * 10, "unresolved"),
+        # as wide, but every change run reads better than every parent run
+        ([50, 50, 50, 100, 100, 100, 100, 150, 150, 150], [151] * 10, "within_bound"),
+        # the same runs as the parent's
+        ([100, 102, 98, 101, 99] * 2, [100, 102, 98, 101, 99] * 2, "within_bound"),
+    ],
+    ids=["gain", "wins-inside-iqr", "eight-wins", "worse", "unresolved", "all-better", "same"],
+)
+def test_summarise_gives_each_metric_a_verdict(parent_rates, change_rates, expected):
+    entry = bench_pairs.summarise(_pairs(parent_rates, change_rates), DECLARED)
+    assert entry["metrics"]["events_per_s"]["verdict"] == expected
+    # equal setup times on every pair: no wins, no spread
+    assert entry["metrics"]["setup_s"]["verdict"] == "within_bound"
+
+
+def test_verdict_reads_a_lower_is_better_metric_the_other_way():
+    parent = [4.0] * 10
+    assert bench_pairs.verdict(False, 0.25, 10, 10, parent, [3.0] * 10) == "gain"
+    assert bench_pairs.verdict(False, 0.25, 0, 10, parent, [5.5] * 10) == "worse"
+    assert bench_pairs.verdict(False, 0.25, 0, 10, parent, [4.5] * 10) == "within_bound"
+
+
+def test_a_metric_with_no_run_on_one_side_is_unresolved():
+    pairs = [{"seed": 1, "parent": _side(100, 4.0), "change": None}]
+    entry = bench_pairs.summarise(pairs, DECLARED)
+    assert entry["metrics"]["events_per_s"]["verdict"] == "unresolved"

@@ -432,12 +432,33 @@ def _reordered(blocks: list[list[bytes]], order: str) -> list[bytes]:
     return first[:half] + [line for block in rest for line in block] + first[half:]
 
 
-def test_read_log_builds_each_case_at_most_twice(tmp_path):
-    log = _random_log(5)
-    path = tmp_path / "log.jsonl"
-    write_log(log, path)
-    blocks = _case_blocks(path)
-    path.write_bytes(b"".join(_reordered(blocks, "round_robin")))
+def _written(log: UncertainLog, path: Path, reader: str, order: str = "grouped"):
+    """Write ``log`` with its cases' rows in ``order``; return the call that reads it back.
+
+    As JSON lines for ``read_log``, or, for ``import_certain_csv``, as
+    CSV rows of a certain log of single labels, whose generated ids are
+    those the import gives.
+    """
+    if reader == "jsonl":
+        write_log(log, path)
+        path.write_bytes(b"".join(_reordered(_case_blocks(path), order)))
+        return lambda: read_log(path)
+    blocks = [
+        [
+            f"{trace.case_id},{min(labels)},{format_timestamp(instant)}\n"
+            for labels, instant in zip(trace.activities, trace.t_min.tolist())
+        ]
+        for trace in log.traces
+    ]
+    path.write_text("case,activity,time\n" + "".join(_reordered(blocks, order)))
+    return lambda: import_certain_csv(path, "case", "activity", "time")
+
+
+@pytest.mark.parametrize("reader", ["jsonl", "csv"])
+def test_read_log_builds_each_case_at_most_twice(tmp_path, reader):
+    spec = GenerationSpec(n_traces=3, trace_length=6, seed=5)
+    log = _random_log(5) if reader == "jsonl" else generate_certain_log(spec)
+    read = _written(log, tmp_path / f"log.{reader}", reader, "round_robin")
     built = []
     from_columns = UncertainTrace.from_columns
 
@@ -446,27 +467,34 @@ def test_read_log_builds_each_case_at_most_twice(tmp_path):
         return from_columns(case_id, *columns)
 
     with patch.object(UncertainTrace, "from_columns", counting_from_columns):
-        assert read_log(path) == log
+        assert read() == log
     # once the first case comes back, no case is built early, so each is
     # built at most once early and once at the end
-    assert len(built) <= 2 * len(blocks)
+    assert len(built) <= 2 * len(log)
     assert sorted(set(built)) == [trace.case_id for trace in log.traces]
 
 
-def test_read_log_peaks_near_the_size_of_the_log(tmp_path):
+@pytest.mark.parametrize(
+    "traces, length, bound", [(2000, 50, 1.25), (1, 50_000, 2.5)], ids=["2000x50", "1x50000"]
+)
+@pytest.mark.parametrize("reader", ["jsonl", "csv"])
+def test_read_log_peaks_near_the_size_of_the_log(tmp_path, reader, traces, length, bound):
     # all of a case's rows are built into its trace once the next case
-    # starts, and the cross-trace id check holds no set of the ids
-    spec = GenerationSpec(n_traces=2000, trace_length=50, seed=1)
-    path = tmp_path / "log.jsonl"
-    write_log(inject_time_uncertainty(generate_certain_log(spec), 0.4, 1), path)
+    # starts, and the cross-trace id check holds no set of the ids; a
+    # case's rows are held as one list per column, beside its trace
+    log = generate_certain_log(GenerationSpec(n_traces=traces, trace_length=length, seed=1))
+    if reader == "jsonl":
+        log = inject_time_uncertainty(log, 0.4, 1)
+    read = _written(log, tmp_path / f"log.{reader}", reader)
+    del log
     tracemalloc.start()
     try:
-        log = read_log(path)
+        log = read()
         size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(log) == 2000
-    assert peak <= 1.25 * size
+    assert len(log) == traces
+    assert peak <= bound * size
 
 
 @pytest.mark.parametrize(
@@ -506,6 +534,16 @@ def test_import_csv(tmp_path):
     assert [e.event_id for e in first.events] == ["945#1", "945#2"]
     assert all(e.t_min == e.t_max and e.determinate for e in first.events)
     assert {next(iter(e.activities)) for e in first.events} == {"register", "decide"}
+
+
+def test_import_csv_shares_one_label_set_per_activity(tmp_path):
+    path = tmp_path / "events.csv"
+    rows = [f"c{k % 7},a{k % 3},2011-12-05T00:00:{k:02d}Z\n" for k in range(40)]
+    path.write_text("case,activity,timestamp\n" + "".join(rows))
+    log = import_certain_csv(path, "case", "activity", "timestamp")
+    label_sets = [labels for trace in log.traces for labels in trace.activities]
+    assert len(label_sets) == 40
+    assert len(set(map(id, label_sets))) == 3
 
 
 def test_import_csv_skips_a_leading_byte_order_mark(tmp_path):

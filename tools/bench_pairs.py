@@ -10,7 +10,9 @@ Each run's own end-to-end metrics are kept.  The workload's entry in
 ``--out`` is then (re)written with each run's timed pass count (a run's
 ``peak_rss_mb`` grows with it) and, per metric, each side's median and
 quartiles, the change's wins and ties over the pairs, and every run;
-other workloads already in the file are kept.  Standard library only.
+other workloads already in the file are kept.  Each metric also gets a
+``verdict`` (see ``verdict``): ``gain``, ``worse``, ``unresolved`` or
+``within_bound``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -42,13 +44,44 @@ def parse_run(stdout: str) -> tuple[dict, dict]:
     return record, metrics
 
 
-def _spread(values: list[float]) -> dict:
+def _quartiles(values: list[float]) -> tuple[float, float]:
     if len(values) < 2:
-        q1 = q3 = values[0]
-    else:
-        # numpy's default (linear) percentiles 25 and 75
-        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        return values[0], values[0]
+    # numpy's default (linear) percentiles 25 and 75
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def _spread(values: list[float]) -> dict:
+    q1, q3 = _quartiles(values)
     return {"median": round(statistics.median(values), 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def verdict(
+    higher: bool, bound: float, wins: int, pairs: int, parent: list[float], change: list[float]
+) -> str:
+    """One metric's reading over the pairs run.
+
+    ``gain``: the change wins at least nine tenths of the pairs, ties
+    counting for neither, and its median is better than the parent's by
+    more than the distance between the parent's quartiles.  ``worse``:
+    its median is worse than the parent's by more than ``bound``, a share
+    of the parent's median.  ``unresolved``: the distance between the
+    parent's quartiles is more than that share and not every change run
+    is better than every parent run.  ``within_bound``: none of these.
+    """
+    sign = 1 if higher else -1
+    base = statistics.median(parent)
+    q1, q3 = _quartiles(parent)
+    gap = sign * (statistics.median(change) - base)
+    allowed = bound * abs(base)
+    if 10 * wins >= 9 * pairs and gap > q3 - q1:
+        return "gain"
+    if -gap > allowed:
+        return "worse"
+    if q3 - q1 > allowed and min(sign * v for v in change) <= max(sign * v for v in parent):
+        return "unresolved"
+    return "within_bound"
 
 
 def summarise(pairs: list[dict], declared: list[dict]) -> dict:
@@ -89,10 +122,15 @@ def summarise(pairs: list[dict], declared: list[dict]) -> dict:
             elif (after > before) == higher:
                 wins += 1
         summary = {key: metric[key] for key in ("unit", "better", "bound")}
+        # with no run on one side, nothing tells the sides apart
+        summary["verdict"] = "unresolved"
         if runs["parent"] and runs["change"]:
             summary.update({side: _spread(runs[side]) for side in SIDES})
             base = summary["parent"]["median"]
             summary["change_over_parent"] = round(summary["change"]["median"] / base, 4) if base else None
+            summary["verdict"] = verdict(
+                higher, metric["bound"], wins, len(pairs), runs["parent"], runs["change"]
+            )
         summary.update(change_wins=wins, ties=ties)
         summary.update({f"{side}_runs": [round(v, 4) for v in runs[side]] for side in SIDES})
         entry["metrics"][name] = summary
